@@ -38,6 +38,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/perf"
+	"repro/internal/pipeline"
 	"repro/internal/rmt"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -326,6 +327,56 @@ func BenchmarkADCPForwarding(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
+}
+
+// BenchmarkSwitchBuild measures what building one switch costs, on both
+// architectures at their default geometry and at the smaller geometry the
+// failover and convergence sweeps build (16 ports, 4 pipelines, 6 stages
+// of 4096 entries and 1024 register cells). Bytes and allocations per
+// switch are deterministic counts, so they land as
+// perf.build.{adcp,rmt}_{bytes,allocs}_per_switch{config=…} series that
+// benchcheck gates as machine-independent ceilings.
+func BenchmarkSwitchBuild(b *testing.B) {
+	failoverRMT := rmt.DefaultConfig()
+	failoverRMT.Ports, failoverRMT.Pipelines = 16, 4
+	failoverADCP := core.DefaultConfig()
+	failoverADCP.Ports, failoverADCP.DemuxFactor = 16, 2
+	failoverADCP.CentralPipelines, failoverADCP.EgressPipelines = 4, 4
+	for _, pipe := range []*pipeline.Config{&failoverRMT.Pipe, &failoverADCP.Pipe} {
+		pipe.Stages, pipe.TableEntriesPerStage, pipe.RegisterCellsPerStage = 6, 4096, 1024
+	}
+	cases := []struct {
+		arch, config string
+		build        func() error
+	}{
+		{"adcp", "default", func() error { _, err := core.New(core.DefaultConfig(), core.Programs{}); return err }},
+		{"rmt", "default", func() error { _, err := rmt.New(rmt.DefaultConfig(), nil, nil); return err }},
+		{"adcp", "failover", func() error { _, err := core.New(failoverADCP, core.Programs{}); return err }},
+		{"rmt", "failover", func() error { _, err := rmt.New(failoverRMT, nil, nil); return err }},
+	}
+	for _, tc := range cases {
+		b.Run(tc.arch+"-"+tc.config, func(b *testing.B) {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tc.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N)
+			allocs := float64(m1.Mallocs-m0.Mallocs) / float64(b.N)
+			b.ReportMetric(bytes, "B/switch")
+			b.ReportMetric(allocs, "allocs/switch")
+			if reg := telemetry.Hub().Reg(); reg != nil {
+				l := telemetry.L("config", tc.config)
+				reg.Set("perf.build."+tc.arch+"_bytes_per_switch", bytes, l)
+				reg.Set("perf.build."+tc.arch+"_allocs_per_switch", allocs, l)
+			}
+		})
+	}
 }
 
 // BenchmarkParamServerRound measures a full aggregation round end-to-end

@@ -11,9 +11,11 @@
 // directional gates with their own, much looser tolerance (-perf-tol)
 // instead of the exact band. Throughput series (suffix "_per_s") only fail
 // when they FALL below the baseline band — getting faster is never a
-// regression — and per-event cost series (containing "per_event") only
-// fail when they RISE above it. Other perf.* series are informational and
-// never gate.
+// regression — and cost series only fail when they RISE above it: per-event
+// costs (containing "per_event") and deterministic allocation counts
+// (containing "_bytes_per_" or "_allocs_per_", such as the switch-build
+// series perf.build.adcp_bytes_per_switch). Other perf.* series are
+// informational and never gate.
 //
 // Usage:
 //
@@ -121,8 +123,10 @@ const (
 // keep the exact band; wall-clock perf.* series — and the engine
 // micro-benchmark's sim.* series (sim.events_per_s, sim.allocs_per_event,
 // recorded by BenchmarkEngine) — gate directionally on the quantities the
-// ROADMAP's speed items move (events/s up, allocs/event down) and are
-// otherwise informational.
+// ROADMAP's speed items move (events/s up; allocs/event and bytes or
+// allocations per built switch down) and are otherwise informational.
+// Allocation counts are deterministic, so their ceilings hold on any
+// machine.
 func gateFor(name string) gate {
 	if !strings.HasPrefix(name, "perf.") && !strings.HasPrefix(name, "sim.") {
 		return gateExact
@@ -130,7 +134,8 @@ func gateFor(name string) gate {
 	switch {
 	case strings.HasSuffix(name, "_per_s"):
 		return gateFloor
-	case strings.Contains(name, "per_event"):
+	case strings.Contains(name, "per_event"),
+		strings.Contains(name, "_bytes_per_"), strings.Contains(name, "_allocs_per_"):
 		return gateCeiling
 	default:
 		return gateNone

@@ -119,6 +119,25 @@ func TestBenchcheckPerfGates(t *testing.T) {
 	}
 }
 
+// Build-cost counts gate as ceilings per labeled series: a switch that
+// builds cheaper passes, one that allocates past the band fails.
+func TestBenchcheckBuildCostCeilings(t *testing.T) {
+	dir := t.TempDir()
+	base := writeDoc(t, dir, "base.json",
+		`{"name":"perf.build.adcp_bytes_per_switch","kind":"value","value":1000,"labels":{"config":"default"}}`)
+	cheaper := writeDoc(t, dir, "cheaper.json",
+		`{"name":"perf.build.adcp_bytes_per_switch","kind":"value","value":10,"labels":{"config":"default"}}`)
+	if code, _, errw := runCheck(t, "-baseline", base, "-current", cheaper); code != 0 {
+		t.Errorf("cheaper build flagged: exit %d, stderr %q", code, errw)
+	}
+	heavier := writeDoc(t, dir, "heavier.json",
+		`{"name":"perf.build.adcp_bytes_per_switch","kind":"value","value":1600,"labels":{"config":"default"}}`)
+	code, _, errw := runCheck(t, "-baseline", base, "-current", heavier)
+	if code != 1 || !strings.Contains(errw, "perf.build.adcp_bytes_per_switch{config=default}: rose") {
+		t.Errorf("heavier build: exit %d, stderr %q", code, errw)
+	}
+}
+
 // Informational perf.* series (no _per_s / per_event shape) never gate,
 // even when absent from the current run.
 func TestBenchcheckPerfInformational(t *testing.T) {
@@ -147,6 +166,8 @@ func TestGateFor(t *testing.T) {
 		{"perf.mem.heap_peak_bytes", gateNone},
 		{"sim.events_per_s", gateFloor},
 		{"sim.allocs_per_event", gateCeiling},
+		{"perf.build.adcp_bytes_per_switch", gateCeiling},
+		{"perf.build.rmt_allocs_per_switch", gateCeiling},
 	}
 	for _, c := range cases {
 		if got := gateFor(c.name); got != c.want {

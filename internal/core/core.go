@@ -169,14 +169,14 @@ func New(cfg Config, progs Programs) (*Switch, error) {
 		coflowLast: make(map[uint32]uint64),
 		evicted:    make(map[uint32]struct{}),
 	}
-	parser := packet.StandardGraph()
 	layout := pipeline.LayoutOf(progs.Ingress, progs.Central, cfg.Pipe.PHVBudget)
 	if progs.Egress != nil && progs.Egress.Layout != nil {
 		layout = progs.Egress.Layout
 	}
+	parser := pipeline.NewParser(packet.StandardGraph(), layout)
 	mk := func(n int, dst *[]*pipeline.Pipeline) error {
 		for i := 0; i < n; i++ {
-			p, err := pipeline.New(cfg.Pipe, parser, layout)
+			p, err := pipeline.New(cfg.Pipe, parser)
 			if err != nil {
 				return err
 			}

@@ -594,7 +594,7 @@ func TestPHVArrayContainerEndToEnd(t *testing.T) {
 		t.Errorf("PHV array crossed the TM: %v — PHVs are per-pipeline", centralSaw)
 	}
 	// Within ONE pipeline the array is usable: verify directly.
-	pl, err := pipeline.New(smallConfig().Pipe, packet.StandardGraph(), layout)
+	pl, err := pipeline.New(smallConfig().Pipe, pipeline.NewParser(packet.StandardGraph(), layout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,5 +730,22 @@ func TestTolerateReorderingCountsLateDrops(t *testing.T) {
 	}
 	if s.LateDrops() != 1 {
 		t.Fatalf("late drops = %d, want 1", s.LateDrops())
+	}
+}
+
+// TestBuildCostBounded pins what a default switch costs to build: modeled
+// SRAM and register capacity are accounting limits, so construction must
+// not allocate in proportion to them (it allocated 61 MB when every
+// table map and register file was sized up front).
+func TestBuildCostBounded(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := New(DefaultConfig(), Programs{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 1<<20 {
+		t.Errorf("default ADCP switch allocates %d bytes to build, want <= 1 MB", got)
 	}
 }

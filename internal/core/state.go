@@ -26,16 +26,14 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"repro/internal/mat"
 	"repro/internal/pipeline"
 	"repro/internal/tm"
 )
 
 // RegCell is one non-zero register cell: sparse storage keeps checkpoints
 // proportional to live state, not geometry.
-type RegCell struct {
-	Idx uint32
-	Val uint64
-}
+type RegCell = mat.RegCell
 
 // PipeState captures one pipeline: traversal counters, per-stage RMW op
 // counts, and per-stage non-zero register cells in ascending index order.
@@ -257,13 +255,7 @@ func exportPipe(p *pipeline.Pipeline) PipeState {
 	for i := 0; i < p.NumStages(); i++ {
 		regs := p.Stage(i).Regs
 		ps.RegOps = append(ps.RegOps, regs.Ops())
-		var cells []RegCell
-		for idx := 0; idx < regs.Size(); idx++ {
-			if v := regs.Peek(idx); v != 0 {
-				cells = append(cells, RegCell{Idx: uint32(idx), Val: v})
-			}
-		}
-		ps.Stages = append(ps.Stages, cells)
+		ps.Stages = append(ps.Stages, regs.NonZero())
 	}
 	return ps
 }
@@ -274,17 +266,7 @@ func restorePipe(p *pipeline.Pipeline, ps PipeState) error {
 			len(ps.RegOps), len(ps.Stages), p.NumStages())
 	}
 	for i := 0; i < p.NumStages(); i++ {
-		regs := p.Stage(i).Regs
-		dense := make([]uint64, regs.Size())
-		last := -1
-		for _, c := range ps.Stages[i] {
-			if int(c.Idx) <= last || int(c.Idx) >= len(dense) {
-				return fmt.Errorf("stage %d: cell index %d out of order or range", i, c.Idx)
-			}
-			last = int(c.Idx)
-			dense[c.Idx] = c.Val
-		}
-		if err := regs.Restore(dense, ps.RegOps[i]); err != nil {
+		if err := p.Stage(i).Regs.Restore(ps.Stages[i], ps.RegOps[i]); err != nil {
 			return fmt.Errorf("stage %d: %w", i, err)
 		}
 	}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/mat"
 )
 
 func TestTable2Output(t *testing.T) {
@@ -197,6 +199,16 @@ func TestMultiClockShape(t *testing.T) {
 	last := rows[len(rows)-1]
 	if last.MemoryClockGHz != 16 {
 		t.Errorf("16-wide memory clock = %v GHz", last.MemoryClockGHz)
+	}
+}
+
+// TestMultiClockReportsFullTable: a batch wider than the stage's 4096
+// entries cannot be installed, and the sweep must say so instead of
+// measuring cycles over a half-installed table.
+func TestMultiClockReportsFullTable(t *testing.T) {
+	_, _, err := MultiClock([]int{5000})
+	if !errors.Is(err, mat.ErrTableFull) {
+		t.Fatalf("err = %v, want mat.ErrTableFull", err)
 	}
 }
 

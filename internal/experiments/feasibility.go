@@ -41,7 +41,9 @@ func MultiClock(widths []int) (*stats.Table, []MultiClockRow, error) {
 		keys := make([]uint64, w)
 		for i := range keys {
 			keys[i] = uint64(i)
-			mem.Install(uint64(i), mat.Result{})
+			if err := mem.Install(uint64(i), mat.Result{}); err != nil {
+				return nil, nil, fmt.Errorf("experiments: width %d: install: %w", w, err)
+			}
 		}
 		cyc, err := mem.LookupBatch(keys, make([]mat.Result, w), make([]bool, w))
 		if err != nil {

@@ -61,8 +61,12 @@ func KeyRate(widths []int) (*stats.Table, []KeyRateRow, error) {
 		keys := make([]uint64, w)
 		for i := range keys {
 			keys[i] = uint64(i)
-			rmtMem.Install(uint64(i), mat.Result{})
-			adcpMem.Install(uint64(i), mat.Result{})
+			if err := rmtMem.Install(uint64(i), mat.Result{}); err != nil {
+				return nil, nil, fmt.Errorf("experiments: width %d: RMT install: %w", w, err)
+			}
+			if err := adcpMem.Install(uint64(i), mat.Result{}); err != nil {
+				return nil, nil, fmt.Errorf("experiments: width %d: ADCP install: %w", w, err)
+			}
 		}
 		// RMT scalar: one key per traversal (cycle).
 		for _, k := range keys {

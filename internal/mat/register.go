@@ -42,28 +42,58 @@ func (op RegisterOp) String() string {
 // register files permit exactly one RMW per packet per file; the pipeline
 // enforces that constraint, this type just provides the storage and ops.
 type RegisterFile struct {
-	cells []uint64
+	cells []uint64 // nil until the first write; every cell reads zero
+	size  int
 	ops   uint64 // RMW operations executed (for accounting)
 }
 
-// NewRegisterFile returns a file of n zeroed cells.
+// RegCell is one non-zero cell of a sparse register image.
+type RegCell struct {
+	Idx uint32
+	Val uint64
+}
+
+// NewRegisterFile returns a file of n zeroed cells. The size is an
+// accounting limit, not an allocation: the cells are allocated by the
+// first write, so reads, snapshots and resets of an untouched file see
+// zeros and allocate no cells.
 func NewRegisterFile(n int) *RegisterFile {
-	return &RegisterFile{cells: make([]uint64, n)}
+	return &RegisterFile{size: n}
 }
 
 // Size returns the number of cells.
-func (f *RegisterFile) Size() int { return len(f.cells) }
+func (f *RegisterFile) Size() int { return f.size }
 
 // Ops returns the number of RMW operations executed.
 func (f *RegisterFile) Ops() uint64 { return f.ops }
 
+// check panics on an out-of-range index, allocated or not.
+func (f *RegisterFile) check(idx int) {
+	if uint(idx) >= uint(f.size) {
+		panic(fmt.Sprintf("mat: register index %d out of range [0,%d)", idx, f.size))
+	}
+}
+
 // Peek reads a cell without counting as an RMW (test/inspection use).
-func (f *RegisterFile) Peek(idx int) uint64 { return f.cells[idx] }
+func (f *RegisterFile) Peek(idx int) uint64 {
+	f.check(idx)
+	if f.cells == nil {
+		return 0
+	}
+	return f.cells[idx]
+}
 
 // Execute performs op on cell idx with argument arg and returns the result.
 // Out-of-range indexes panic: the compiler layer is responsible for bounds.
 func (f *RegisterFile) Execute(op RegisterOp, idx int, arg uint64) uint64 {
 	f.ops++
+	f.check(idx)
+	if f.cells == nil {
+		if op == RegRead {
+			return 0
+		}
+		f.cells = make([]uint64, f.size)
+	}
 	cell := &f.cells[idx]
 	switch op {
 	case RegRead:
@@ -98,25 +128,47 @@ func (f *RegisterFile) Execute(op RegisterOp, idx int, arg uint64) uint64 {
 
 // Snapshot copies the cells (tests and result extraction).
 func (f *RegisterFile) Snapshot() []uint64 {
-	out := make([]uint64, len(f.cells))
+	out := make([]uint64, f.size)
 	copy(out, f.cells)
 	return out
 }
 
-// Restore overwrites the file's cells and RMW count from a checkpoint.
-// The cell count must match the file's geometry.
-func (f *RegisterFile) Restore(cells []uint64, ops uint64) error {
-	if len(cells) != len(f.cells) {
-		return fmt.Errorf("mat: restore %d cells into a %d-cell file", len(cells), len(f.cells))
+// NonZero returns the non-zero cells in ascending index order: the sparse
+// checkpoint image of the file. An untouched file returns nil.
+func (f *RegisterFile) NonZero() []RegCell {
+	var out []RegCell
+	for i, v := range f.cells {
+		if v != 0 {
+			out = append(out, RegCell{Idx: uint32(i), Val: v})
+		}
 	}
-	copy(f.cells, cells)
+	return out
+}
+
+// Restore overwrites the file from a sparse checkpoint image (cells in
+// strictly ascending index order, every other cell zero) and sets its RMW
+// count. An all-zero image leaves an untouched file unallocated.
+func (f *RegisterFile) Restore(cells []RegCell, ops uint64) error {
+	last := -1
+	for _, c := range cells {
+		if int(c.Idx) <= last || int(c.Idx) >= f.size {
+			return fmt.Errorf("mat: restore cell index %d out of order or range [0,%d)", c.Idx, f.size)
+		}
+		last = int(c.Idx)
+	}
+	f.Reset()
+	for _, c := range cells {
+		if c.Val == 0 {
+			continue
+		}
+		if f.cells == nil {
+			f.cells = make([]uint64, f.size)
+		}
+		f.cells[c.Idx] = c.Val
+	}
 	f.ops = ops
 	return nil
 }
 
 // Reset zeroes all cells (keeps op count).
-func (f *RegisterFile) Reset() {
-	for i := range f.cells {
-		f.cells[i] = 0
-	}
-}
+func (f *RegisterFile) Reset() { clear(f.cells) }

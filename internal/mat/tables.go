@@ -45,19 +45,17 @@ var ErrTableFull = fmt.Errorf("mat: table full")
 // ExactTable is a hash-based exact-match table with a hard entry capacity
 // (SRAM entries in a real stage).
 type ExactTable struct {
-	m   map[uint64]Result
+	m   map[uint64]Result // nil until the first insert
 	cap int
 }
 
-// NewExactTable returns an exact table holding up to capacity entries. The
-// backing map grows on demand (most simulated tables stay far below the
-// modeled SRAM capacity, and switches instantiate hundreds of them).
+// NewExactTable returns an exact table holding up to capacity entries.
+// Capacity is an accounting limit, not an allocation: the table starts
+// empty and its map is created and grown by inserts, so an untouched
+// table costs nothing beyond its header however much SRAM it models.
+// Insert returns ErrTableFull once capacity entries are installed.
 func NewExactTable(capacity int) *ExactTable {
-	hint := capacity
-	if hint > 1024 {
-		hint = 1024
-	}
-	return &ExactTable{m: make(map[uint64]Result, hint), cap: capacity}
+	return &ExactTable{cap: capacity}
 }
 
 // Lookup implements Table.
@@ -70,6 +68,9 @@ func (t *ExactTable) Lookup(key uint64) (Result, bool) {
 func (t *ExactTable) Insert(key uint64, r Result) error {
 	if _, exists := t.m[key]; !exists && len(t.m) >= t.cap {
 		return ErrTableFull
+	}
+	if t.m == nil {
+		t.m = make(map[uint64]Result)
 	}
 	t.m[key] = r
 	return nil

@@ -13,10 +13,11 @@ import (
 // count to integer indexes once, and resolves field names to the
 // consumer's slot numbers (the pipeline passes PHV field IDs), so the
 // per-packet parse loop touches only flat slices and a caller-owned
-// reusable result. Fields the consumer does not map and that no selector
-// or array count reads are dropped at bind time — their extraction was
-// invisible to consumers of ParseResult, and per-state header-length
-// checks (the only way a scalar extract can fail) are preserved exactly.
+// reusable result. Selectors and array counts are read straight from the
+// packet at their field's offset, so fields the consumer does not map are
+// dropped at bind time — their extraction was invisible to consumers of
+// ParseResult, and per-state header-length checks (the only way a scalar
+// extract can fail) are preserved exactly.
 
 // FlatField is one extracted scalar, keyed by the consumer slot given to
 // Bind's lookup function.
@@ -57,15 +58,31 @@ func (r *FlatResult) addArray(slot, n int) []uint32 {
 	return e.Vals
 }
 
-type boundExtract struct {
+// boundField locates a scalar within a state's header.
+type boundField struct {
 	off   int
-	width int
-	slot  int // consumer slot; -1 = extracted for selector/count use only
+	width int // 1, 2 or 4 (Validate guarantees it)
+}
+
+func (f boundField) read(data []byte) uint64 {
+	switch f.width {
+	case 1:
+		return uint64(data[f.off])
+	case 2:
+		return uint64(binary.BigEndian.Uint16(data[f.off:]))
+	default:
+		return uint64(binary.BigEndian.Uint32(data[f.off:]))
+	}
+}
+
+type boundExtract struct {
+	boundField
+	slot int // consumer slot
 }
 
 type boundArray struct {
-	slot     int // consumer slot; -1 = bounds-check only (unmapped)
-	countIdx int // index into the state's kept extracts
+	slot     int        // consumer slot; -1 = bounds-check only (unmapped)
+	count    boundField // the count field's last extract in the state
 	base     int
 	stride   int
 	elemOff  int
@@ -81,28 +98,27 @@ type boundState struct {
 	hdrLen   int
 	extracts []boundExtract
 	arrays   []boundArray
-	selIdx   int // index into extracts; -1 = no selector
+	sel      boundField // width 0 = no selector
 	branches []boundBranch
 	def      int // next state index; -1 = accept
 }
 
 // BoundParser is a ParseGraph resolved against one consumer's field
-// mapping (see ParseGraph.Bind). It owns a scratch buffer for selector
-// and count values, so a BoundParser serves one goroutine at a time —
-// the same single-goroutine contract every pipeline already has.
+// mapping (see ParseGraph.Bind). It is immutable once bound and keeps no
+// per-run state, so one BoundParser serves any number of consumers (every
+// pipeline of a switch) at once, each with its own FlatResult.
 type BoundParser struct {
 	states []boundState
 	start  int
-	vals   []uint64 // per-state extract scratch
 }
 
 // Bind validates the graph and resolves it against a consumer mapping:
 // lookup returns the consumer's slot for a field or array name (array
 // distinguishes scalar extracts from array extractions), or a negative
-// slot for names the consumer does not store. Unmapped scalars that no
-// selector or array count reads are dropped from the bound program;
-// unmapped arrays keep their bounds checks (a truncated element is a
-// parse error regardless of who stores the values).
+// slot for names the consumer does not store. Unmapped scalars are
+// dropped from the bound program; unmapped arrays keep their bounds
+// checks (a truncated element is a parse error regardless of who stores
+// the values).
 func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParser, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -123,37 +139,22 @@ func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParse
 		return index[name]
 	}
 	b := &BoundParser{start: index[g.start]}
-	maxExtracts := 0
 	for _, name := range names {
 		s := g.states[name]
 		// Last extract of each name wins, exactly like the map the
 		// unbound parser fills; selectors and counts read that copy.
-		last := make(map[string]int, len(s.Extracts))
-		for i, f := range s.Extracts {
-			last[f.Name] = i
+		last := make(map[string]boundField, len(s.Extracts))
+		for _, f := range s.Extracts {
+			last[f.Name] = boundField{off: f.Offset, width: f.Width}
 		}
-		needed := make(map[int]bool)
-		if s.Select != "" {
-			needed[last[s.Select]] = true
-		}
-		for _, a := range s.Arrays {
-			needed[last[a.CountField]] = true
-		}
-		bs := boundState{hdrLen: s.HdrLen, selIdx: -1, def: resolve(s.Default)}
-		kept := make(map[int]int, len(s.Extracts)) // original index → bound index
-		for i, f := range s.Extracts {
-			slot := lookup(f.Name, false)
-			if slot < 0 && !needed[i] {
-				continue
+		bs := boundState{hdrLen: s.HdrLen, def: resolve(s.Default)}
+		for _, f := range s.Extracts {
+			if slot := lookup(f.Name, false); slot >= 0 {
+				bs.extracts = append(bs.extracts, boundExtract{boundField: boundField{off: f.Offset, width: f.Width}, slot: slot})
 			}
-			if slot < 0 {
-				slot = -1
-			}
-			kept[i] = len(bs.extracts)
-			bs.extracts = append(bs.extracts, boundExtract{off: f.Offset, width: f.Width, slot: slot})
 		}
 		if s.Select != "" {
-			bs.selIdx = kept[last[s.Select]]
+			bs.sel = last[s.Select]
 			vals := make([]uint64, 0, len(s.Next))
 			for v := range s.Next {
 				vals = append(vals, v)
@@ -174,19 +175,15 @@ func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParse
 			}
 			bs.arrays = append(bs.arrays, boundArray{
 				slot:     slot,
-				countIdx: kept[last[a.CountField]],
+				count:    last[a.CountField],
 				base:     a.BaseOffset,
 				stride:   a.Stride,
 				elemOff:  a.ElemOffset,
 				maxCount: maxN,
 			})
 		}
-		if len(bs.extracts) > maxExtracts {
-			maxExtracts = len(bs.extracts)
-		}
 		b.states = append(b.states, bs)
 	}
-	b.vals = make([]uint64, maxExtracts)
 	return b, nil
 }
 
@@ -211,27 +208,14 @@ func (b *BoundParser) Run(data []byte, maxStates int, res *FlatResult) error {
 		if len(data) < s.hdrLen {
 			return ErrTruncated
 		}
-		vals := b.vals[:len(s.extracts)]
 		for i := range s.extracts {
 			f := &s.extracts[i]
-			var v uint64
-			switch f.width {
-			case 1:
-				v = uint64(data[f.off])
-			case 2:
-				v = uint64(binary.BigEndian.Uint16(data[f.off:]))
-			case 4:
-				v = uint64(binary.BigEndian.Uint32(data[f.off:]))
-			}
-			vals[i] = v
-			if f.slot >= 0 {
-				res.Fields = append(res.Fields, FlatField{Slot: f.slot, Val: v})
-			}
+			res.Fields = append(res.Fields, FlatField{Slot: f.slot, Val: f.read(data)})
 		}
 		body := data[s.hdrLen:]
 		for i := range s.arrays {
 			a := &s.arrays[i]
-			n := int(vals[a.countIdx])
+			n := int(a.count.read(data))
 			if n > a.maxCount {
 				n = a.maxCount
 			}
@@ -250,21 +234,20 @@ func (b *BoundParser) Run(data []byte, maxStates int, res *FlatResult) error {
 				out[j] = binary.BigEndian.Uint32(body[a.base+j*a.stride+a.elemOff:])
 			}
 		}
+		next := s.def
+		if s.sel.width != 0 {
+			v := s.sel.read(data)
+			for i := range s.branches {
+				if s.branches[i].val == v {
+					next = s.branches[i].next
+					break
+				}
+			}
+		}
 		data = body
 		res.BytesConsumed += s.hdrLen
 		res.StatesVisited++
-		if s.selIdx < 0 {
-			cur = s.def
-			continue
-		}
-		v := vals[s.selIdx]
-		cur = s.def
-		for i := range s.branches {
-			if s.branches[i].val == v {
-				cur = s.branches[i].next
-				break
-			}
-		}
+		cur = next
 	}
 	return nil
 }

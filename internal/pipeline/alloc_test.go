@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/mat"
@@ -31,7 +32,7 @@ func TestTraversalAllocsSteadyState(t *testing.T) {
 					}
 				}
 			}
-			p, err := New(tc.cfg, packet.StandardGraph(), layout)
+			p, err := New(tc.cfg, NewParser(packet.StandardGraph(), layout))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,18 +111,19 @@ func TestBoundParseMatchesMapParse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		p, err := New(cfg, packet.StandardGraph(), layout)
+		parser := NewParser(packet.StandardGraph(), layout)
+		if !bound {
+			parser.bound = nil // force the legacy map path
+		}
+		p, err := New(cfg, parser)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !bound {
-			p.bound = nil // force the legacy map path
 		}
 		return p, layout
 	}
 	flat, flatLayout := build(true)
 	legacy, legacyLayout := build(false)
-	if flat.bound == nil {
+	if flat.parser.bound == nil {
 		t.Fatal("standard graph did not bind")
 	}
 	for _, n := range []int{0, 1, 3, 8} {
@@ -157,4 +159,65 @@ func TestBoundParseMatchesMapParse(t *testing.T) {
 		flat.Release(fc)
 		legacy.Release(lc)
 	}
+}
+
+// TestSharedParserConcurrentPipelines: one bound Parser serves several
+// pipelines at once. Each pipeline, on its own goroutine, must parse
+// exactly what a pipeline with a private parser parses; run under -race
+// this also proves the shared program is read-only.
+func TestSharedParserConcurrentPipelines(t *testing.T) {
+	cfg := DefaultADCPConfig()
+	layout := testLayout(t, cfg.PHVBudget)
+	if _, err := layout.AllocArray("kv_keys"); err != nil {
+		t.Fatal(err)
+	}
+	shared := NewParser(packet.StandardGraph(), layout)
+	if shared.bound == nil {
+		t.Fatal("standard graph did not bind")
+	}
+	count, keys := layout.Lookup("kv_count"), layout.Lookup("kv_keys")
+	parse := func(p *Pipeline, n int) (uint64, []uint32, int) {
+		ctx, err := p.Process(kvPacket(n), nil)
+		if err != nil {
+			t.Error(err)
+			return 0, nil, 0
+		}
+		defer p.Release(ctx)
+		return ctx.PHV.Get(count), append([]uint32(nil), ctx.PHV.Array(keys)...), ctx.Cycles
+	}
+	ref, err := New(cfg, NewParser(packet.StandardGraph(), layout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCount, wantKeys, wantCycles := make([]uint64, 9), make([][]uint32, 9), make([]int, 9)
+	for n := range wantCount {
+		wantCount[n], wantKeys[n], wantCycles[n] = parse(ref, n)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		p, err := New(cfg, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				n := (round*7 + w) % 9
+				c, k, cyc := parse(p, n)
+				if c != wantCount[n] || cyc != wantCycles[n] || len(k) != len(wantKeys[n]) {
+					t.Errorf("worker %d n=%d: count %d cycles %d keys %v, want %d %d %v",
+						w, n, c, cyc, k, wantCount[n], wantCycles[n], wantKeys[n])
+					return
+				}
+				for i := range k {
+					if k[i] != wantKeys[n][i] {
+						t.Errorf("worker %d n=%d: keys %v, want %v", w, n, k, wantKeys[n])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -227,19 +227,46 @@ type Program struct {
 	Layout *phv.Layout
 }
 
+// Parser is a parse graph resolved against the PHV layout its pipelines
+// fill. It is immutable, so a switch binds the graph once and shares one
+// Parser across all of its pipelines; each pipeline keeps its own parse
+// result buffer.
+type Parser struct {
+	graph  *packet.ParseGraph
+	layout *phv.Layout
+	// bound is the graph pre-resolved against the layout (nil when the
+	// graph does not validate; then pipelines fall back to the map path).
+	bound *packet.BoundParser
+}
+
+// NewParser binds graph to layout. The layout must be allocated from the
+// PHV budget of every pipeline the parser serves.
+func NewParser(graph *packet.ParseGraph, layout *phv.Layout) *Parser {
+	ps := &Parser{graph: graph, layout: layout}
+	// Best effort: a graph that fails validation keeps the legacy
+	// map-based parse path (identical behavior, slower).
+	if bound, err := graph.Bind(func(name string, array bool) int {
+		id := layout.Lookup(name)
+		if id == phv.Invalid || layout.IsArray(id) != array {
+			return -1
+		}
+		return int(id)
+	}); err == nil {
+		ps.bound = bound
+	}
+	return ps
+}
+
 // Pipeline is a parser + stages + deparser with cycle accounting.
 type Pipeline struct {
 	cfg    Config
 	stages []*Stage
-	parser *packet.ParseGraph
+	parser *Parser
 	pool   *phv.Pool
-	layout *phv.Layout
 
-	// bound is the parse graph pre-resolved against the layout (nil when
-	// the graph does not validate; then runInto falls back to the map
-	// path). flat is its reusable result and ctxFree the context free
-	// list: together they make the steady-state traversal allocation-free.
-	bound   *packet.BoundParser
+	// flat is the bound parser's reusable result and ctxFree the context
+	// free list: together they make the steady-state traversal
+	// allocation-free.
 	flat    packet.FlatResult
 	ctxFree []*Context
 
@@ -252,30 +279,17 @@ type Pipeline struct {
 	observer Observer
 }
 
-// New builds a pipeline. The layout must be allocated from cfg.PHVBudget
-// (the program compiler guarantees this; direct users must too).
-func New(cfg Config, parser *packet.ParseGraph, layout *phv.Layout) (*Pipeline, error) {
+// New builds a pipeline around a shared parser. The parser's layout must
+// be allocated from cfg.PHVBudget (the program compiler guarantees this;
+// direct users must too).
+func New(cfg Config, parser *Parser) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Pipeline{
 		cfg:    cfg,
 		parser: parser,
-		layout: layout,
-		pool:   phv.NewPool(layout),
-	}
-	if parser != nil && layout != nil {
-		// Best effort: a graph that fails validation keeps the legacy
-		// map-based parse path (identical behavior, slower).
-		if bound, err := parser.Bind(func(name string, array bool) int {
-			id := layout.Lookup(name)
-			if id == phv.Invalid || layout.IsArray(id) != array {
-				return -1
-			}
-			return int(id)
-		}); err == nil {
-			p.bound = bound
-		}
+		pool:   phv.NewPool(parser.layout),
 	}
 	for i := 0; i < cfg.Stages; i++ {
 		st := &Stage{
@@ -343,9 +357,9 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 	// Parse. The bound parser writes slot-keyed flat results into a
 	// reusable buffer; the map path remains for unvalidatable graphs and
 	// is behaviorally identical.
-	if p.bound != nil {
+	if bound := p.parser.bound; bound != nil {
 		res := &p.flat
-		if err := p.bound.Run(ctx.Pkt.Data, 0, res); err != nil {
+		if err := bound.Run(ctx.Pkt.Data, 0, res); err != nil {
 			p.parseErrors++
 			return fmt.Errorf("pipeline: parse: %w", err)
 		}
@@ -361,18 +375,19 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 		}
 		ctx.Cycles += res.StatesVisited
 	} else {
-		res, err := p.parser.Run(ctx.Pkt.Data, 0)
+		layout := p.parser.layout
+		res, err := p.parser.graph.Run(ctx.Pkt.Data, 0)
 		if err != nil {
 			p.parseErrors++
 			return fmt.Errorf("pipeline: parse: %w", err)
 		}
 		for name, val := range res.Fields {
-			if id := p.layout.Lookup(name); id != phv.Invalid && !p.layout.IsArray(id) {
+			if id := layout.Lookup(name); id != phv.Invalid && !layout.IsArray(id) {
 				ctx.PHV.Set(id, val)
 			}
 		}
 		for name, vals := range res.Arrays {
-			if id := p.layout.Lookup(name); id != phv.Invalid && p.layout.IsArray(id) {
+			if id := layout.Lookup(name); id != phv.Invalid && layout.IsArray(id) {
 				ctx.PHV.SetArray(id, vals)
 			}
 		}

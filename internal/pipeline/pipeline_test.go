@@ -30,7 +30,7 @@ func testLayout(t *testing.T, b phv.Budget) *phv.Layout {
 func newTestPipeline(t *testing.T, cfg Config) (*Pipeline, *phv.Layout) {
 	t.Helper()
 	layout := testLayout(t, cfg.PHVBudget)
-	p, err := New(cfg, packet.StandardGraph(), layout)
+	p, err := New(cfg, NewParser(packet.StandardGraph(), layout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestPHVPooledAcrossPackets(t *testing.T) {
 func BenchmarkProcessNoProgram(b *testing.B) {
 	layout := phv.NewLayout(phv.DefaultBudget)
 	layout.Alloc("coflow_id", phv.W32)
-	p, err := New(DefaultRMTConfig(), packet.StandardGraph(), layout)
+	p, err := New(DefaultRMTConfig(), NewParser(packet.StandardGraph(), layout))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestParserFillsPHVArrayContainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(cfg, packet.StandardGraph(), layout)
+	p, err := New(cfg, NewParser(packet.StandardGraph(), layout))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 func buildPipeline(t *testing.T, cfg pipeline.Config) *pipeline.Pipeline {
 	t.Helper()
-	p, err := pipeline.New(cfg, packet.StandardGraph(), pipeline.StandardLayout(cfg.PHVBudget))
+	p, err := pipeline.New(cfg, pipeline.NewParser(packet.StandardGraph(), pipeline.StandardLayout(cfg.PHVBudget)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,14 +113,14 @@ func New(cfg Config, ingressProg, egressProg *pipeline.Program) (*Switch, error)
 		recircPorts:       make(map[int]bool),
 		txPerPort:         make([]uint64, cfg.Ports),
 	}
-	parser := packet.StandardGraph()
-	layout := pipeline.LayoutOf(ingressProg, egressProg, cfg.Pipe.PHVBudget)
+	parser := pipeline.NewParser(packet.StandardGraph(),
+		pipeline.LayoutOf(ingressProg, egressProg, cfg.Pipe.PHVBudget))
 	for i := 0; i < cfg.Pipelines; i++ {
-		in, err := pipeline.New(cfg.Pipe, parser, layout)
+		in, err := pipeline.New(cfg.Pipe, parser)
 		if err != nil {
 			return nil, err
 		}
-		out, err := pipeline.New(cfg.Pipe, parser, layout)
+		out, err := pipeline.New(cfg.Pipe, parser)
 		if err != nil {
 			return nil, err
 		}

@@ -505,3 +505,20 @@ func TestEgressEmissionOutOfRangePortMisroutes(t *testing.T) {
 		t.Errorf("Misrouted = %d", s.Misrouted())
 	}
 }
+
+// TestBuildCostBounded pins what a default switch costs to build: modeled
+// SRAM and register capacity are accounting limits, so construction must
+// not allocate in proportion to them (it allocated 11 MB when every
+// table map and register file was sized up front).
+func TestBuildCostBounded(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := New(DefaultConfig(), nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 256<<10 {
+		t.Errorf("default RMT switch allocates %d bytes to build, want <= 256 KB", got)
+	}
+}
