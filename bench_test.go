@@ -379,6 +379,67 @@ func BenchmarkSwitchBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkNetsimServiceRate is the netsim rung of the benchmark ladder:
+// one parameter-server round of the ps-bottleneck shape (16 ports, 15
+// workers of 256 weights, 4 per packet: 960 packets) on RMT and then ADCP,
+// through netsim with the switch serving 5e5 pkt/s, so a standing input
+// queue forms in front of it. Events per packet are deterministic and
+// land as exp.netsim.ps_events_per_pkt (gated exactly). Allocations per
+// packet for the whole round (switch builds, workload, run, check) land as
+// perf.netsim.ps_allocs_per_pkt, a benchcheck ceiling. The rounds run with
+// telemetry masked off, so the numbers describe the simulator, not the
+// instrumentation.
+func BenchmarkNetsimServiceRate(b *testing.B) {
+	ps := apps.PSConfig{Workers: 15, ModelSize: 256, Width: 4}
+	rcfg := rmt.DefaultConfig()
+	rcfg.Ports, rcfg.Pipelines = 16, 4
+	acfg := core.DefaultConfig()
+	acfg.Ports, acfg.DemuxFactor = 16, 2
+	acfg.CentralPipelines, acfg.EgressPipelines = 4, 4
+	for _, pipe := range []*pipeline.Config{&rcfg.Pipe, &acfg.Pipe} {
+		pipe.Stages, pipe.TableEntriesPerStage, pipe.RegisterCellsPerStage = 6, 4096, 1024
+	}
+	netCfg := netsim.DefaultConfig(16)
+	netCfg.ServiceRatePPS = 5e5
+	var events, pkts uint64
+	round := func() {
+		rsw, err := apps.NewParamServerRMT(rcfg, ps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		asw, err := apps.NewParamServerADCP(acfg, ps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sw := range []netsim.SwitchModel{rsw, asw} {
+			res, err := apps.RunParamServer(sw, netCfg, ps, 41, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events += res.Network.Engine().Fired()
+			pkts += res.Network.Injected()
+		}
+	}
+	var m0, m1 runtime.MemStats
+	telemetry.WithHub(nil, func() {
+		runtime.ReadMemStats(&m0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+	})
+	eventsPerPkt := float64(events) / float64(pkts)
+	allocsPerPkt := float64(m1.Mallocs-m0.Mallocs) / float64(pkts)
+	b.ReportMetric(eventsPerPkt, "events/pkt")
+	b.ReportMetric(allocsPerPkt, "allocs/pkt")
+	if reg := telemetry.Hub().Reg(); reg != nil {
+		reg.Set("exp.netsim.ps_events_per_pkt", eventsPerPkt)
+		reg.Set("perf.netsim.ps_allocs_per_pkt", allocsPerPkt)
+	}
+}
+
 // BenchmarkParamServerRound measures a full aggregation round end-to-end
 // on both architectures (the Table 1 headline app at benchmark scale).
 func BenchmarkParamServerRound(b *testing.B) {

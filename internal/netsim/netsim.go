@@ -50,10 +50,12 @@ type Config struct {
 	// ServiceRatePPS, when positive, models the switch's aggregate
 	// ingress service rate: each pipeline traversal occupies the switch
 	// for 1/rate seconds, so recirculated passes consume real capacity
-	// and back-pressure later arrivals. Zero = infinitely fast switch
-	// (the default; experiments that only need functional behavior).
-	// Requires the switch to implement TraversalCounter; ignored
-	// otherwise.
+	// and back-pressure later arrivals. Arrivals that find the switch
+	// busy wait in a FIFO input queue in front of it and are served in
+	// arrival order, one service event per packet. Zero = infinitely
+	// fast switch (the default; experiments that only need functional
+	// behavior). Requires the switch to implement TraversalCounter;
+	// ignored otherwise.
 	ServiceRatePPS float64
 	// Faults, when non-nil, injects the plan's link loss/corruption, link
 	// down windows, switch stalls, and host crashes into the run. The
@@ -161,8 +163,18 @@ type Network struct {
 	// txBusyUntil serializes each host's uplink; rxBusyUntil each downlink.
 	txBusyUntil []sim.Time
 	rxBusyUntil []sim.Time
-	// swBusyUntil models the switch's service capacity (ServiceRatePPS).
+	// counter is the switch's traversal counter when a service rate is
+	// configured (nil otherwise: the switch serves arrivals instantly).
+	// swBusyUntil is when the switch finishes its current traversals.
+	counter     TraversalCounter
 	swBusyUntil sim.Time
+	// inq is the switch's FIFO input queue: arrivals that found it busy,
+	// from inqHead on. While it is non-empty exactly one service event is
+	// pending; serveFn is its callback, bound once so posting allocates
+	// nothing.
+	inq     []arrival
+	inqHead int
+	serveFn func()
 
 	// OnDeliver, when set, observes every host delivery.
 	OnDeliver func(host int, pkt *packet.Packet, now sim.Time)
@@ -204,6 +216,10 @@ type Network struct {
 	// passes and link/switch queueing.
 	e2eLat []*telemetry.Histogram
 
+	// meter is the wall-clock perf plane's dispatch meter on eng (nil when
+	// the plane is off); Run and RunUntil fold its tail when they return.
+	meter *perf.Meter
+
 	// Causal-chain state (nil without telemetry): attr collects each
 	// coflow's critical-path chain; spans emits the chains as trace spans
 	// (tracer runs only); coflowSpans holds each coflow's root span id;
@@ -232,6 +248,10 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		n.hosts = append(n.hosts, &Host{ID: i})
+	}
+	if cfg.ServiceRatePPS > 0 {
+		n.counter, _ = sw.(TraversalCounter)
+		n.serveFn = n.serveQueued
 	}
 	if cfg.Faults != nil {
 		n.inj = faults.NewInjector(cfg.Faults)
@@ -263,7 +283,7 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 	// The wall-clock perf plane meters every engine's dispatch loop,
 	// independent of the sim-time telemetry hub: throughput must be
 	// measurable on runs with every deterministic export turned off.
-	perf.Attach(n.eng)
+	n.meter = perf.Attach(n.eng)
 	return n, nil
 }
 
@@ -456,52 +476,109 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 		ts = &txState{src: src, cf: cf, uid: n.txSeq, pristine: pkt.Clone(), rto: n.rec.Timeout, chain: ch}
 		n.txSeq++
 	}
-	n.transmit(src, pkt, ts, ch, false)
+	n.transmit(src, pkt, cf, ts, ch, false)
 }
 
-// arriveAtSwitch runs the switch synchronously and schedules deliveries.
-// With a service rate configured, arrivals wait for the switch to free up
-// and each traversal (including recirculated passes) occupies it. sentAt
-// is the packet's transmission start, threaded through to delivery so the
-// end-to-end latency histogram sees the full path. ts is the sender's
-// retransmission state (nil without recovery): the first copy to arrive is
-// acknowledged, later copies are suppressed here, before the switch
-// program, so stateful switch programs never see duplicates.
-func (n *Network) arriveAtSwitch(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
+// arrival is one packet waiting in the switch's input queue, with the
+// arguments arriveAtSwitch received for it.
+type arrival struct {
+	pkt    *packet.Packet
+	cf     uint32
+	sentAt sim.Time
+	ts     *txState
+	ch     *telemetry.Chain
+}
+
+// arriveAtSwitch hands a packet of coflow cf (decoded once, at send) to the
+// switch. With a service rate configured, an arrival that finds the switch
+// busy, or others already waiting, joins the FIFO input queue behind them;
+// one service event per packet serves the queue in arrival order as the
+// switch frees (serveQueued). Otherwise the switch runs synchronously and
+// the outputs are scheduled. sentAt is the packet's transmission start,
+// threaded through to delivery so the end-to-end latency histogram sees
+// the full path. ts is the sender's retransmission state (nil without
+// recovery): the first copy to reach the switch is acknowledged, later
+// copies are suppressed before the switch program, so stateful switch
+// programs never see duplicates.
+func (n *Network) arriveAtSwitch(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
+	now := n.eng.Now()
 	if n.inj != nil {
-		if end, stalled := n.inj.StallEnd(n.eng.Now()); stalled {
+		if end, stalled := n.inj.StallEnd(now); stalled {
 			// Switch stall window: the arrival is held (input buffering)
 			// and replayed when the switch resumes.
 			n.led.StallDeferrals++
-			n.fr.Record(n.eng.Now(), "stall.defer", int64(coflowOf(pkt)), int64(end))
+			n.fr.Record(now, "stall.defer", int64(cf), int64(end))
 			n.eng.Post(end, func() {
 				ch.Advance(n.eng.Now(), telemetry.BucketFailoverStall)
-				n.arriveAtSwitch(pkt, sentAt, ts, ch)
+				n.arriveAtSwitch(pkt, cf, sentAt, ts, ch)
 			})
 			return
 		}
 	}
 	if n.pair != nil {
-		n.haArrival(pkt, sentAt, ts, ch)
+		n.haArrival(pkt, cf, sentAt, ts, ch)
 		return
 	}
 	if n.swCrashed {
 		n.led.SwitchArrivals++
-		n.crashDrop(pkt, ts)
+		n.crashDrop(pkt, cf, ts)
 		return
 	}
-	var counter TraversalCounter
-	if n.cfg.ServiceRatePPS > 0 {
-		counter, _ = n.sw.(TraversalCounter)
-	}
-	if counter != nil && n.swBusyUntil > n.eng.Now() {
-		at := n.swBusyUntil
-		n.eng.Post(at, func() {
-			ch.Advance(n.eng.Now(), telemetry.BucketQueueing)
-			n.arriveAtSwitch(pkt, sentAt, ts, ch)
-		})
+	if n.counter != nil && (n.inqHead < len(n.inq) || n.swBusyUntil > now) {
+		if n.inqHead == len(n.inq) {
+			n.eng.Post(n.swBusyUntil, n.serveFn)
+		}
+		n.inq = append(n.inq, arrival{pkt: pkt, cf: cf, sentAt: sentAt, ts: ts, ch: ch})
 		return
 	}
+	n.process(pkt, cf, sentAt, ts, ch)
+}
+
+// serveQueued is the input queue's service event, pending exactly while
+// the queue is non-empty. It pops the head, charges its wait to queueing,
+// and serves it, re-arming for when the switch frees again. The head
+// re-checks the switch as a fresh arrival would: a stall window holds the
+// whole queue until it ends (each waiting packet counts once per stall),
+// and a crashed switch drops everything still waiting.
+func (n *Network) serveQueued() {
+	now := n.eng.Now()
+	if n.inj != nil {
+		if end, stalled := n.inj.StallEnd(now); stalled {
+			for _, a := range n.inq[n.inqHead:] {
+				n.led.StallDeferrals++
+				n.fr.Record(now, "stall.defer", int64(a.cf), int64(end))
+				a.ch.Advance(now, telemetry.BucketQueueing)
+				a.ch.Advance(end, telemetry.BucketFailoverStall)
+			}
+			n.eng.Post(end, n.serveFn)
+			return
+		}
+	}
+	if n.swCrashed {
+		for _, a := range n.inq[n.inqHead:] {
+			n.led.SwitchArrivals++
+			n.crashDrop(a.pkt, a.cf, a.ts)
+		}
+		clear(n.inq)
+		n.inq, n.inqHead = n.inq[:0], 0
+		return
+	}
+	a := n.inq[n.inqHead]
+	n.inq[n.inqHead] = arrival{}
+	n.inqHead++
+	if n.inqHead == len(n.inq) {
+		n.inq, n.inqHead = n.inq[:0], 0
+	}
+	a.ch.Advance(now, telemetry.BucketQueueing)
+	n.process(a.pkt, a.cf, a.sentAt, a.ts, a.ch)
+	if n.inqHead < len(n.inq) {
+		n.eng.Post(max(n.swBusyUntil, now), n.serveFn)
+	}
+}
+
+// process runs one arrival through the switch: duplicate suppression, the
+// switch program, the service-rate occupancy, and the outputs' deliveries.
+func (n *Network) process(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
 	n.led.SwitchArrivals++
 	if ts != nil {
 		if ts.arrived {
@@ -523,10 +600,10 @@ func (n *Network) arriveAtSwitch(pkt *packet.Packet, sentAt sim.Time, ts *txStat
 		// not disturb the accepted copy's history.
 		ch = ch.Fork()
 	}
-	n.fr.Record(n.eng.Now(), "switch.arrive", int64(coflowOf(pkt)), int64(pkt.IngressPort))
+	n.fr.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
 	var before uint64
-	if counter != nil {
-		before = counter.IngressTraversals()
+	if n.counter != nil {
+		before = n.counter.IngressTraversals()
 	}
 	outs, err := n.sw.Process(pkt)
 	if err != nil {
@@ -547,8 +624,8 @@ func (n *Network) arriveAtSwitch(pkt *packet.Packet, sentAt sim.Time, ts *txStat
 		n.tr.Instant(n.eng.Now(), "switch.process", "net", n.pid, n.swTID,
 			map[string]any{"ingress_port": pkt.IngressPort, "outs": len(outs)})
 	}
-	if counter != nil {
-		delta := counter.IngressTraversals() - before
+	if n.counter != nil {
+		delta := n.counter.IngressTraversals() - before
 		if delta == 0 {
 			delta = 1
 		}
@@ -601,9 +678,8 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 // the port. With recovery the sender's timer is still running, so it keeps
 // retransmitting (reaching the standby once promoted, or aborting on
 // budget); without recovery the packet drops terminally.
-func (n *Network) crashDrop(pkt *packet.Packet, ts *txState) {
+func (n *Network) crashDrop(pkt *packet.Packet, cf uint32, ts *txState) {
 	n.led.CrashDrops++
-	cf := coflowOf(pkt)
 	n.tracker.Lose(cf)
 	n.fr.Record(n.eng.Now(), "crash.drop", int64(cf), int64(pkt.IngressPort))
 	if ts == nil {
@@ -619,10 +695,10 @@ func (n *Network) crashDrop(pkt *packet.Packet, ts *txState) {
 // crash before the ship point therefore acks nothing: the sender times
 // out and retransmits to the promoted standby, which applies the packet
 // exactly once.
-func (n *Network) haArrival(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
+func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
 	n.led.SwitchArrivals++
 	if !n.pair.Alive() {
-		n.crashDrop(pkt, ts)
+		n.crashDrop(pkt, cf, ts)
 		return
 	}
 	if ts != nil {
@@ -644,7 +720,7 @@ func (n *Network) haArrival(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch
 	if ts != nil {
 		uid = ts.uid
 	}
-	n.fr.Record(n.eng.Now(), "switch.arrive", int64(coflowOf(pkt)), int64(pkt.IngressPort))
+	n.fr.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
 	// Detach the committed account from the sender's (see arriveAtSwitch);
 	// the commit closure runs at the delta's ship time, possibly after
 	// spurious retransmissions have advanced ts.chain.
@@ -711,6 +787,7 @@ func (n *Network) deliver(dst int, p *packet.Packet, cf uint32, sentAt sim.Time,
 // attribution of every completed coflow is published to the registry.
 func (n *Network) Run() {
 	n.eng.Run()
+	n.meter.Flush()
 	pre := len(n.errs)
 	if n.eng.BudgetExceeded() {
 		n.errs = append(n.errs, fmt.Errorf("netsim: %w after %d events at %v",
@@ -742,7 +819,10 @@ func (n *Network) Run() {
 }
 
 // RunUntil drains events up to the deadline.
-func (n *Network) RunUntil(t sim.Time) { n.eng.RunUntil(t) }
+func (n *Network) RunUntil(t sim.Time) {
+	n.eng.RunUntil(t)
+	n.meter.Flush()
+}
 
 // Injected returns packets sent by hosts.
 func (n *Network) Injected() uint64 { return n.injected }

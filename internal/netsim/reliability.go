@@ -104,11 +104,12 @@ type rxState struct {
 	chain  *telemetry.Chain // causal account (nil when attribution is off)
 }
 
-// transmit makes one uplink wire attempt. retx marks attempts beyond the
+// transmit makes one uplink wire attempt of a packet of coflow cf (decoded
+// once, at send, and carried to the switch). retx marks attempts beyond the
 // first; an attempt whose packet was meanwhile acked (or abandoned) is
 // skipped without touching the ledger, so TxAttempts = Injected + UplinkRetx
 // holds exactly.
-func (n *Network) transmit(src int, pkt *packet.Packet, ts *txState, ch *telemetry.Chain, retx bool) {
+func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, ch *telemetry.Chain, retx bool) {
 	if ts != nil && (ts.acked || ts.aborted) {
 		return
 	}
@@ -153,7 +154,7 @@ func (n *Network) transmit(src int, pkt *packet.Packet, ts *txState, ch *telemet
 	case faults.OK:
 		n.eng.Post(arrive, func() {
 			ch.Advance(n.eng.Now(), telemetry.BucketPropagation)
-			n.arriveAtSwitch(pkt, start, ts, ch)
+			n.arriveAtSwitch(pkt, cf, start, ts, ch)
 		})
 	case faults.Lost:
 		n.countTxFault(out, ts, pkt)
@@ -264,7 +265,7 @@ func (n *Network) resendOrAbort(ts *txState, at sim.Time) {
 			when = up
 		}
 	}
-	n.eng.Post(when, func() { n.transmit(ts.src, ts.pristine.Clone(), ts, ts.chain, true) })
+	n.eng.Post(when, func() { n.transmit(ts.src, ts.pristine.Clone(), ts.cf, ts, ts.chain, true) })
 }
 
 // sendAck launches the switch's acknowledgement of an intact arrival back

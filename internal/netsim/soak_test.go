@@ -29,12 +29,21 @@ func soakSeed(seed int) error {
 	rec := faults.DefaultRecovery()
 	rec.MaxRetries = 64
 	cfg := faultyConfig(hosts, plan, &rec)
-	if plan.SwitchCrashAt > 0 {
+	var sw SwitchModel = echoSwitch{}
+	switch {
+	case plan.SwitchCrashAt > 0:
 		// A quarter of random plans kill the switch; those runs get
-		// a warm standby so completion survives the failover.
+		// a warm standby so completion survives the failover (a standby
+		// excludes a service rate).
 		cfg.Standby = echoSwitch{}
+	case seed%2 == 1:
+		// Odd seeds give the switch a service rate of one packet per
+		// 2 µs, twice the offered load, so faults hit a standing input
+		// queue.
+		cfg.ServiceRatePPS = 5e5
+		sw = &busyCountingSwitch{costEach: 1}
 	}
-	n, err := New(cfg, echoSwitch{})
+	n, err := New(cfg, sw)
 	if err != nil {
 		return err
 	}
@@ -61,7 +70,9 @@ func soakSeed(seed int) error {
 // link-down windows, host crashes, switch stalls) at the network with
 // recovery enabled and asserts the two properties the fault plane
 // guarantees: the conservation ledger balances (auto-asserted by Run) and
-// the coflow completes despite everything the plan did to it.
+// the coflow completes despite everything the plan did to it. Odd seeds
+// without a switch crash also model the switch's service rate, so the
+// faults land on packets waiting in its input queue.
 //
 // Seeds fan out across the parallel worker pool — each seed builds its own
 // network, so seeds share nothing. Short mode runs a handful of seeds; set

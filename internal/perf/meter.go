@@ -15,12 +15,12 @@ const MeterWindow = 1024
 
 // Meter is a low-overhead throughput probe on one engine's dispatch loop.
 // It is engine-local (the engine is single-goroutine by contract) and only
-// touches shared plane state at window boundaries, via atomics. Events in
-// an unfinished tail window when the engine stops are never flushed —
-// both the event count and the wall time exclude them, so events/s stays
-// unbiased and the flushed totals stay deterministic for a deterministic
-// simulation (floor(fired/window)·window per engine, independent of
-// worker scheduling).
+// touches shared plane state at window boundaries and when its owner
+// calls Flush, via atomics. A window fold keeps the plane's totals live
+// during long runs; Flush folds the unfinished tail when a run returns, so
+// the flushed totals are exact — the engine's Fired count, independent of
+// worker scheduling and deterministic for a deterministic simulation — and
+// events/s divides those events by exactly the wall time they took.
 type Meter struct {
 	plane *Plane
 
@@ -39,18 +39,21 @@ type Meter struct {
 }
 
 // AttachMeter installs a throughput meter on eng's dispatch loop,
-// reporting into p. No-op on a nil plane or engine.
-func (p *Plane) AttachMeter(eng *sim.Engine) {
+// reporting into p, and returns it for Flush. No-op returning nil on a nil
+// plane or engine.
+func (p *Plane) AttachMeter(eng *sim.Engine) *Meter {
 	if p == nil || eng == nil {
-		return
+		return nil
 	}
 	m := &Meter{plane: p}
 	eng.AddDispatchHook(m.hook)
+	return m
 }
 
-// Attach installs a meter for the active plane; no-op when the plane is
-// off. This is the one-liner construction sites (netsim.New) call.
-func Attach(eng *sim.Engine) { Active().AttachMeter(eng) }
+// Attach installs a meter for the active plane; no-op returning nil when
+// the plane is off. This is the one-liner construction sites (netsim.New)
+// call.
+func Attach(eng *sim.Engine) *Meter { return Active().AttachMeter(eng) }
 
 func (m *Meter) hook(at sim.Time, pending int, fired uint64) {
 	if !m.haveLast {
@@ -67,8 +70,26 @@ func (m *Meter) hook(at sim.Time, pending int, fired uint64) {
 	}
 	m.n++
 	if m.n >= MeterWindow {
-		m.flush()
+		m.fold()
 	}
+}
+
+// Flush folds the unfinished tail — the events since the last window, the
+// wall time they took, and the open same-timestamp batch — into the plane.
+// Call it when the engine's Run returns (netsim.Network does). The next
+// dispatch restarts the clock, so time the engine spends idle between runs
+// is never metered. No-op on a nil meter or when nothing was dispatched
+// since the last Flush.
+func (m *Meter) Flush() {
+	if m == nil || !m.haveLast {
+		return
+	}
+	if m.batch > 0 {
+		m.closeBatch()
+		m.batch = 0
+	}
+	m.fold()
+	m.haveLast = false
 }
 
 func (m *Meter) closeBatch() {
@@ -78,9 +99,9 @@ func (m *Meter) closeBatch() {
 	}
 }
 
-// flush samples the wall clock once and folds the finished window into
-// the plane aggregate.
-func (m *Meter) flush() {
+// fold samples the wall clock once and folds the events counted since the
+// last fold into the plane aggregate.
+func (m *Meter) fold() {
 	now := time.Now()
 	m.plane.wallNs.Add(now.Sub(m.last).Nanoseconds())
 	m.plane.events.Add(m.n)

@@ -43,9 +43,10 @@ type Plane struct {
 	reg   *telemetry.Registry
 	start time.Time
 
-	// Dispatch-meter aggregate: every Meter flushes its window counts here
-	// (internal/perf/meter.go). events and wallNs advance only at window
-	// boundaries, so concurrent readers always see a consistent ratio.
+	// Dispatch-meter aggregate: every Meter folds its counts here at window
+	// boundaries and when its run returns (internal/perf/meter.go). events
+	// and wallNs advance together, so concurrent readers always see a
+	// consistent ratio.
 	events   atomic.Uint64
 	wallNs   atomic.Int64
 	batches  atomic.Uint64
@@ -171,9 +172,7 @@ func (p *Plane) register() {
 }
 
 // eventsPerSec is metered events divided by metered wall time: both
-// advance only at meter window boundaries, so the ratio is unbiased —
-// residual sub-window tails are excluded from numerator and denominator
-// alike.
+// advance together at every meter fold, so the ratio is unbiased.
 func (p *Plane) eventsPerSec() float64 {
 	if ns := p.wallNs.Load(); ns > 0 {
 		return float64(p.events.Load()) / (float64(ns) / 1e9)
@@ -199,7 +198,7 @@ func (p *Plane) noteHeap(heap uint64) {
 	}
 }
 
-// noteBatchMax folds one window's largest same-timestamp batch into the
+// noteBatchMax folds one meter fold's largest same-timestamp batch into the
 // run maximum (CAS max).
 func (p *Plane) noteBatchMax(n uint64) {
 	for {
@@ -273,8 +272,8 @@ func memDelta(before, after *runtime.MemStats) MemDelta {
 // the headline numbers without parsing an export (the CLI's stderr
 // summary, the benchmark gates).
 type Totals struct {
-	Events         uint64  // events counted by the dispatch meters (window granularity)
-	SampledWallS   float64 // wall seconds covered by meter windows
+	Events         uint64  // events counted by the dispatch meters (exact once runs return)
+	SampledWallS   float64 // wall seconds the metered events took
 	EventsPerSec   float64 // Events / SampledWallS
 	Mallocs        uint64  // heap objects allocated since Enable
 	AllocBytes     uint64  // heap bytes allocated since Enable

@@ -98,9 +98,61 @@ func TestMeterWindowing(t *testing.T) {
 	}
 }
 
-// TestMeterOnEngine pins the end-to-end contract: an engine that fires N
-// events flushes exactly floor(N/window)*window of them, regardless of
-// wall-clock behavior.
+// TestMeterFlushFoldsTail pins exact counting: Flush folds the events of
+// an unfinished window, and the open same-timestamp batch, into the plane,
+// so the plane's total equals the events the meter saw. A second Flush is
+// a no-op, and dispatches after it are metered afresh.
+func TestMeterFlushFoldsTail(t *testing.T) {
+	p := New()
+	m := &Meter{plane: p}
+	at := func(ps int64) { m.hook(sim.Time(ps), 0, 0) }
+	for i := 0; i < 3; i++ {
+		at(1)
+	}
+	for i := 0; i < 4; i++ {
+		at(2) // still open when Flush runs
+	}
+	m.Flush()
+	if got := p.events.Load(); got != 7 {
+		t.Errorf("events after Flush = %d, want 7", got)
+	}
+	if got, max := p.batches.Load(), p.batchMax.Load(); got != 2 || max != 4 {
+		t.Errorf("batches = %d (max %d), want 2 (max 4): Flush must close the open batch", got, max)
+	}
+	m.Flush()
+	if got := p.events.Load(); got != 7 {
+		t.Errorf("events after a second Flush = %d, want 7", got)
+	}
+	for i := 0; i < MeterWindow+5; i++ {
+		at(int64(10 + i))
+	}
+	m.Flush()
+	if got, want := p.events.Load(), uint64(7+MeterWindow+5); got != want {
+		t.Errorf("events after a window and a tail = %d, want %d", got, want)
+	}
+	if got, want := p.batches.Load(), uint64(2+MeterWindow+5); got != want {
+		t.Errorf("batches = %d, want %d", got, want)
+	}
+
+	// On an engine, a Flush after Run makes the count equal Fired.
+	q := New()
+	eng := sim.NewEngine()
+	em := q.AttachMeter(eng)
+	for i := 0; i < 100; i++ {
+		eng.Post(sim.Time(i), func() {})
+	}
+	eng.Run()
+	em.Flush()
+	if got := q.events.Load(); got != eng.Fired() {
+		t.Errorf("metered events = %d, engine fired %d", got, eng.Fired())
+	}
+	var nilMeter *Meter
+	nilMeter.Flush()
+}
+
+// TestMeterOnEngine pins the windowed half of the contract: until its
+// owner calls Flush, an engine that fires N events has folded exactly
+// floor(N/window)*window of them, regardless of wall-clock behavior.
 func TestMeterOnEngine(t *testing.T) {
 	p := New()
 	eng := sim.NewEngine()
