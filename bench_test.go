@@ -44,6 +44,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/swswitch"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // TestMain adds a machine-readable export path to the benchmark harness:
@@ -437,6 +438,115 @@ func BenchmarkNetsimServiceRate(b *testing.B) {
 	if reg := telemetry.Hub().Reg(); reg != nil {
 		reg.Set("exp.netsim.ps_events_per_pkt", eventsPerPkt)
 		reg.Set("perf.netsim.ps_allocs_per_pkt", allocsPerPkt)
+	}
+}
+
+// BenchmarkKVCacheProcess is the switch rung of the benchmark ladder,
+// shaped like the kv-zipf workload: the ADCP and the RMT multi-key caches
+// (8 ports, 4 pipelines, 2 stages of 4096 entries, 256 cached keys) driven
+// straight through Switch.Process with 8-key Zipf(0.99) GETs, every 10th
+// operation a PUT of cached keys, each operation split into
+// partition-aligned batches. One op is one pass over the fixed request
+// set. Allocations per packet are counts of the steady-state switch path
+// and land as perf.kv.{adcp,rmt}_allocs_per_pkt, benchcheck ceilings.
+func BenchmarkKVCacheProcess(b *testing.B) {
+	const ports, keys, cached = 8, 4096, 256
+	kv := apps.KVConfig{KeysPerPacket: 8, CacheEntries: cached}
+	acfg := core.DefaultConfig()
+	acfg.Ports, acfg.DemuxFactor = ports, 1
+	acfg.CentralPipelines, acfg.EgressPipelines = 4, 2
+	rcfg := rmt.DefaultConfig()
+	rcfg.Ports, rcfg.Pipelines = ports, 4
+	for _, pipe := range []*pipeline.Config{&acfg.Pipe, &rcfg.Pipe} {
+		pipe.Stages, pipe.TableEntriesPerStage = 2, keys
+	}
+	injs, err := workload.KVZipf(workload.KVParams{
+		CoflowID: 1, Clients: ports, OpsPerClient: 250,
+		KeysPerPacket: kv.KeysPerPacket, KeySpace: keys, Seed: 11,
+	}, 0.99)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(11)
+	type req struct {
+		port int
+		hdr  packet.Header
+		kvh  packet.KVHeader
+	}
+	var reqs []req
+	var d packet.Decoded
+	for i, inj := range injs {
+		if err := d.DecodePacket(inj.Pkt); err != nil {
+			b.Fatal(err)
+		}
+		op, pairs := packet.KVGet, d.KV.Pairs
+		if i%10 == 9 {
+			op = packet.KVPut
+			pairs = make([]packet.KVPair, kv.KeysPerPacket)
+			for j := range pairs {
+				pairs[j] = packet.KVPair{Key: uint32(rng.Uint64() % cached), Value: uint32(rng.Uint64()) | 1}
+			}
+		}
+		for _, batch := range apps.PartitionKV(pairs, acfg.CentralPipelines, kv.KeysPerPacket) {
+			reqs = append(reqs, req{port: inj.Src,
+				hdr: packet.Header{Proto: packet.ProtoKV, SrcPort: d.Base.SrcPort, CoflowID: 1},
+				kvh: packet.KVHeader{Op: op, Pairs: append([]packet.KVPair(nil), batch...)}})
+		}
+	}
+	adcp, err := apps.NewKVCacheADCP(acfg, kv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rmtSw, err := apps.NewKVCacheRMT(rcfg, kv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := uint32(0); k < cached; k++ {
+		if err := adcp.Install(k, k|1); err != nil {
+			b.Fatal(err)
+		}
+		if err := rmtSw.Install(k, k|1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cases := []struct {
+		arch    string
+		process func(*packet.Packet) ([]*packet.Packet, error)
+	}{
+		{"adcp", adcp.Process},
+		{"rmt", rmtSw.Process},
+	}
+	for _, tc := range cases {
+		pkts := make([]*packet.Packet, len(reqs))
+		for i := range reqs {
+			pkts[i] = packet.Build(reqs[i].hdr, &reqs[i].kvh)
+			pkts[i].IngressPort = reqs[i].port
+		}
+		b.Run(tc.arch, func(b *testing.B) {
+			pass := func() {
+				for _, pkt := range pkts {
+					if _, err := tc.process(pkt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			pass() // warm free lists, pools and table maps
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			n := float64(b.N) * float64(len(pkts))
+			allocs := float64(m1.Mallocs-m0.Mallocs) / n
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pkt")
+			b.ReportMetric(allocs, "allocs/pkt")
+			if reg := telemetry.Hub().Reg(); reg != nil {
+				reg.Set("perf.kv."+tc.arch+"_allocs_per_pkt", allocs)
+			}
+		})
 	}
 }
 

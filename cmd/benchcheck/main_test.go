@@ -168,6 +168,8 @@ func TestGateFor(t *testing.T) {
 		{"sim.allocs_per_event", gateCeiling},
 		{"perf.build.adcp_bytes_per_switch", gateCeiling},
 		{"perf.build.rmt_allocs_per_switch", gateCeiling},
+		{"perf.kv.adcp_allocs_per_pkt", gateCeiling},
+		{"perf.kv.rmt_allocs_per_pkt", gateCeiling},
 	}
 	for _, c := range cases {
 		if got := gateFor(c.name); got != c.want {

@@ -61,22 +61,21 @@ func NewKVCacheADCP(cfg core.Config, kv KVConfig) (*KVCacheADCP, error) {
 					return nil
 				}
 				kvh := &ctx.Decoded.KV
-				// The parser lifted the batch into the PHV array; the
-				// stage consumes it from there (capped at the array
-				// width — wider batches would need another container).
-				lifted := ctx.PHV.Array(keysID)
-				keys := make([]uint64, len(kvh.Pairs))
-				for i := range kvh.Pairs {
-					if i < len(lifted) {
-						keys[i] = uint64(lifted[i])
-					} else {
-						keys[i] = uint64(kvh.Pairs[i].Key)
-					}
-				}
 				switch kvh.Op {
 				case packet.KVGet:
-					results := make([]mat.Result, len(keys))
-					hits := make([]bool, len(keys))
+					var sc batchScratch
+					keys, results, hits := sc.slices(len(kvh.Pairs))
+					// The parser lifted the batch into the PHV array; the
+					// stage consumes it from there (capped at the array
+					// width — wider batches would need another container).
+					lifted := ctx.PHV.Array(keysID)
+					for i := range kvh.Pairs {
+						if i < len(lifted) {
+							keys[i] = uint64(lifted[i])
+						} else {
+							keys[i] = uint64(kvh.Pairs[i].Key)
+						}
+					}
 					if _, err := st.Mem.LookupBatch(keys, results, hits); err != nil {
 						return err
 					}
@@ -162,6 +161,24 @@ func (k *KVCacheADCP) Misses() uint64 {
 	return n
 }
 
+// batchScratch holds one LookupBatch call's operands. As a local of the
+// stage function it lives on the stack, so nothing is shared between
+// pipelines or switches; a batch wider than a default stage's MAUs falls
+// back to the heap.
+type batchScratch struct {
+	keys    [mat.StageMAUs]uint64
+	results [mat.StageMAUs]mat.Result
+	hits    [mat.StageMAUs]bool
+}
+
+// slices returns n-element views of the scratch arrays.
+func (b *batchScratch) slices(n int) ([]uint64, []mat.Result, []bool) {
+	if n > mat.StageMAUs {
+		return make([]uint64, n), make([]mat.Result, n), make([]bool, n)
+	}
+	return b.keys[:n], b.results[:n], b.hits[:n]
+}
+
 // KVCacheRMT is the restructured RMT deployment: the cache lives in every
 // ingress pipeline (clients connect anywhere), and each stage-0 memory is
 // replicated KeysPerPacket-fold so a batch can match in one traversal —
@@ -191,12 +208,11 @@ func NewKVCacheRMT(cfg rmt.Config, kv KVConfig) (*KVCacheRMT, error) {
 				kvh := &ctx.Decoded.KV
 				switch kvh.Op {
 				case packet.KVGet:
-					keys := make([]uint64, len(kvh.Pairs))
+					var sc batchScratch
+					keys, results, hits := sc.slices(len(kvh.Pairs))
 					for i, p := range kvh.Pairs {
 						keys[i] = uint64(p.Key)
 					}
-					results := make([]mat.Result, len(keys))
-					hits := make([]bool, len(keys))
 					if _, err := st.Mem.LookupBatch(keys, results, hits); err != nil {
 						return err
 					}
@@ -267,22 +283,41 @@ func (k *KVCacheRMT) EffectiveCapacity() int {
 
 // PartitionKV regroups a batch of pairs so each output batch contains only
 // keys of one ADCP partition (what a partition-aware client library does).
-// Batches are capped at maxBatch pairs.
+// Batches are capped at maxBatch pairs and come in partition order, each
+// keeping its pairs' input order. All batches share one backing array;
+// each is capped at its own length, so appending to one cannot overwrite
+// the next.
 func PartitionKV(pairs []packet.KVPair, partitions, maxBatch int) [][]packet.KVPair {
+	if len(pairs) == 0 {
+		return nil
+	}
 	part := tm.NewHashPartitioner(partitions)
-	byPart := make([][]packet.KVPair, partitions)
+	// Counting sort by home partition: end[i] first counts partition i's
+	// keys, then is its next free slot and, once all are placed, the end
+	// of its run.
+	end := make([]int, partitions)
+	for _, p := range pairs {
+		end[part.Place(uint64(p.Key))]++
+	}
+	batches, off := 0, 0
+	for i, n := range end {
+		end[i] = off
+		off += n
+		batches += (n + maxBatch - 1) / maxBatch
+	}
+	sorted := make([]packet.KVPair, len(pairs))
 	for _, p := range pairs {
 		i := part.Place(uint64(p.Key))
-		byPart[i] = append(byPart[i], p)
+		sorted[end[i]] = p
+		end[i]++
 	}
-	var out [][]packet.KVPair
-	for _, batch := range byPart {
-		for len(batch) > maxBatch {
-			out = append(out, batch[:maxBatch])
-			batch = batch[maxBatch:]
-		}
-		if len(batch) > 0 {
-			out = append(out, batch)
+	out := make([][]packet.KVPair, 0, batches)
+	lo := 0
+	for _, hi := range end {
+		for lo < hi {
+			n := min(maxBatch, hi-lo)
+			out = append(out, sorted[lo:lo+n:lo+n])
+			lo += n
 		}
 	}
 	return out

@@ -1,10 +1,13 @@
 package apps
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/sim"
+	"repro/internal/tm"
 )
 
 func kvGet(src int, keys ...uint32) *packet.Packet {
@@ -251,6 +254,136 @@ func TestKVCacheEndToEndNetwork(t *testing.T) {
 			}
 			if d.KV.Op != packet.KVHit {
 				t.Errorf("host %d got %v", h, d.KV.Op)
+			}
+		}
+	}
+}
+
+// TestKVCacheProcessAllocs pins the steady-state switch path of both
+// caches: a warm 8-key GET or PUT costs the reply packet, its bytes and
+// the returned slice, and nothing else (no per-call batch scratch).
+func TestKVCacheProcessAllocs(t *testing.T) {
+	kv := KVConfig{KeysPerPacket: 8, CacheEntries: 64}
+	adcp, err := NewKVCacheADCP(smallADCP(), kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmtSw, err := NewKVCacheRMT(smallRMT(), kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint32(0); k < 64; k++ {
+		if err := adcp.Install(k, k*10); err != nil {
+			t.Fatal(err)
+		}
+		if err := rmtSw.Install(k, k*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := func(src int, keys ...uint32) *packet.Packet {
+		pairs := make([]packet.KVPair, len(keys))
+		for i, k := range keys {
+			pairs[i] = packet.KVPair{Key: k, Value: k * 10}
+		}
+		p := packet.Build(packet.Header{Proto: packet.ProtoKV, SrcPort: uint16(src), CoflowID: 9},
+			&packet.KVHeader{Op: packet.KVPut, Pairs: pairs})
+		p.IngressPort = src
+		return p
+	}
+	// Eight cached keys of one ADCP partition, so every key hits at home.
+	var keys []uint32
+	for k := uint32(0); len(keys) < 8; k++ {
+		if adcp.PartitionOf(k) == adcp.PartitionOf(0) {
+			keys = append(keys, k)
+		}
+	}
+	for _, arch := range []struct {
+		name    string
+		process func(*packet.Packet) ([]*packet.Packet, error)
+	}{{"ADCP", adcp.Process}, {"RMT", rmtSw.Process}} {
+		for _, op := range []struct {
+			name string
+			pkt  *packet.Packet
+		}{{"GET", kvGet(2, keys...)}, {"PUT", put(2, keys...)}} {
+			t.Run(arch.name+"-"+op.name, func(t *testing.T) {
+				run := func() []*packet.Packet {
+					out, err := arch.process(op.pkt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
+				}
+				for i := 0; i < 8; i++ { // warm free lists, pools and maps
+					run()
+				}
+				out := run()
+				var d packet.Decoded
+				if len(out) != 1 || d.DecodePacket(out[0]) != nil || d.KV.Op != packet.KVHit || len(d.KV.Pairs) != 8 {
+					t.Fatalf("reply %v: %+v", out, d.KV)
+				}
+				for _, pr := range d.KV.Pairs {
+					if pr.Value != pr.Key*10 {
+						t.Fatalf("key %d value %d", pr.Key, pr.Value)
+					}
+				}
+				if allocs := testing.AllocsPerRun(100, func() { run() }); allocs > 3 {
+					t.Fatalf("Process allocates %.1f objects per packet, want <= 3", allocs)
+				}
+			})
+		}
+	}
+}
+
+// partitionKVReference is PartitionKV as first written: one growing slice
+// per partition, then the per-partition runs cut into maxBatch pieces.
+func partitionKVReference(pairs []packet.KVPair, partitions, maxBatch int) [][]packet.KVPair {
+	part := tm.NewHashPartitioner(partitions)
+	byPart := make([][]packet.KVPair, partitions)
+	for _, p := range pairs {
+		i := part.Place(uint64(p.Key))
+		byPart[i] = append(byPart[i], p)
+	}
+	var out [][]packet.KVPair
+	for _, batch := range byPart {
+		for len(batch) > maxBatch {
+			out = append(out, batch[:maxBatch])
+			batch = batch[maxBatch:]
+		}
+		if len(batch) > 0 {
+			out = append(out, batch)
+		}
+	}
+	return out
+}
+
+// TestPartitionKVMatchesReference checks PartitionKV against the
+// per-partition-append reference on random inputs (duplicate keys, empty
+// input, one partition, batches of one), and that every batch is capped at
+// its length, so appending to one batch never changes another.
+func TestPartitionKVMatchesReference(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for trial := 0; trial < 500; trial++ {
+		n := int(rng.Uint64() % 70)
+		partitions := 1 + int(rng.Uint64()%8)
+		maxBatch := 1 + int(rng.Uint64()%16)
+		keySpace := 1 + rng.Uint64()%200
+		pairs := make([]packet.KVPair, n)
+		for i := range pairs {
+			pairs[i] = packet.KVPair{Key: uint32(rng.Uint64() % keySpace), Value: uint32(i)}
+		}
+		got := PartitionKV(pairs, partitions, maxBatch)
+		want := partitionKVReference(pairs, partitions, maxBatch)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d partitions=%d max=%d):\n got %v\nwant %v",
+				trial, n, partitions, maxBatch, got, want)
+		}
+		for i := range got {
+			if cap(got[i]) != len(got[i]) {
+				t.Fatalf("trial %d: batch %d has len %d cap %d", trial, i, len(got[i]), cap(got[i]))
+			}
+			_ = append(got[i], packet.KVPair{Key: ^uint32(0), Value: ^uint32(0)})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: appending to batch %d changed another batch", trial, i)
 			}
 		}
 	}

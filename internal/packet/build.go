@@ -36,28 +36,44 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
+// Body is an application header that knows its encoded size, so a packet
+// can be built in one exactly-sized buffer. Every application header
+// (MLHeader, KVHeader, DBHeader, GraphHeader, GroupHeader) is a Body.
+type Body interface {
+	EncodedLen() int
+	Encode(dst []byte) []byte
+}
+
 // Build assembles a packet from a base header and an optional application
-// header. The base header's Proto and Length fields are overwritten to match
-// the body. Pass a nil body for ProtoRaw packets with an empty payload.
-func Build(h Header, body interface{ Encode([]byte) []byte }) *Packet {
-	var payload []byte
-	if body != nil {
-		payload = body.Encode(nil)
+// header. The base header's Length field is overwritten to match the body;
+// Proto is the caller's. Pass a nil body for ProtoRaw packets with an empty
+// payload. The header and body are encoded straight into one buffer of
+// exactly BaseHeaderLen+body.EncodedLen() bytes, so the packet costs two
+// heap objects: the Packet and its bytes.
+func Build(h Header, body Body) *Packet {
+	if body == nil {
+		return frame(h, 0)
 	}
-	h.Length = uint16(len(payload))
-	data := h.Encode(make([]byte, 0, BaseHeaderLen+len(payload)))
-	data = append(data, payload...)
-	return &Packet{Data: data, EgressPort: -1}
+	p := frame(h, body.EncodedLen())
+	p.Data = body.Encode(p.Data)
+	return p
 }
 
 // BuildRaw assembles a ProtoRaw packet with an opaque payload of the given
 // length (zero bytes).
 func BuildRaw(h Header, payloadLen int) *Packet {
 	h.Proto = ProtoRaw
-	h.Length = uint16(payloadLen)
-	data := h.Encode(make([]byte, 0, BaseHeaderLen+payloadLen))
-	data = append(data, make([]byte, payloadLen)...)
-	return &Packet{Data: data, EgressPort: -1}
+	p := frame(h, payloadLen)
+	p.Data = p.Data[:BaseHeaderLen+payloadLen]
+	return p
+}
+
+// frame allocates a packet with room for exactly the base header and n
+// body bytes, and writes the header (Length = n); the caller appends the
+// body.
+func frame(h Header, n int) *Packet {
+	h.Length = uint16(n)
+	return &Packet{Data: h.Encode(make([]byte, 0, BaseHeaderLen+n)), EgressPort: -1}
 }
 
 // Decoded is the result of fully decoding a packet: the base header plus
@@ -138,11 +154,9 @@ func (d *Decoded) Reencode() *Packet {
 	case ProtoGroup:
 		return Build(d.Base, &d.Group)
 	default:
-		h := d.Base
-		h.Length = uint16(len(d.Payload))
-		data := h.Encode(make([]byte, 0, BaseHeaderLen+len(d.Payload)))
-		data = append(data, d.Payload...)
-		return &Packet{Data: data, EgressPort: -1}
+		p := frame(d.Base, len(d.Payload))
+		p.Data = append(p.Data, d.Payload...)
+		return p
 	}
 }
 

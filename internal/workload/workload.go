@@ -51,6 +51,7 @@ func ML(p MLParams) ([]Injection, error) {
 		return nil, err
 	}
 	var injs []Injection
+	vals := make([]uint32, p.ValuesPerPacket) // Build copies: one scratch serves every packet
 	for w := 0; w < p.Workers; w++ {
 		t := sim.Time(0)
 		for base := 0; base < p.ModelSize; base += p.ValuesPerPacket {
@@ -58,7 +59,7 @@ func ML(p MLParams) ([]Injection, error) {
 			if base+n > p.ModelSize {
 				n = p.ModelSize - base
 			}
-			vals := make([]uint32, n)
+			vals = vals[:n]
 			for i := range vals {
 				vals[i] = MLWeight(p.Seed, w, base+i)
 			}
@@ -132,12 +133,12 @@ func KV(p KVParams) ([]Injection, error) {
 	}
 	rng := sim.NewRNG(p.Seed)
 	var injs []Injection
+	pairs := make([]packet.KVPair, p.KeysPerPacket) // Build copies: one scratch serves every packet
 	for c := 0; c < p.Clients; c++ {
 		t := sim.Time(0)
 		for op := 0; op < p.OpsPerClient; op++ {
-			pairs := make([]packet.KVPair, p.KeysPerPacket)
 			for i := range pairs {
-				pairs[i].Key = uint32(rng.Uint64()) % p.KeySpace
+				pairs[i] = packet.KVPair{Key: uint32(rng.Uint64()) % p.KeySpace}
 			}
 			kvop := packet.KVGet
 			if rng.Float64() < p.PutFraction {
@@ -215,7 +216,7 @@ func DB(p DBParams) ([]Injection, int, error) {
 			}, &packet.DBHeader{Query: p.Query, Stage: 0, Tuples: batch})
 			injs = append(injs, Injection{Src: s, Pkt: pkt, At: t})
 			t += p.Gap
-			batch = nil
+			batch = batch[:0] // Build copied it
 		}
 		for i := 0; i < p.TuplesPerSource; i++ {
 			if rng.Float64() >= p.Selectivity {
@@ -265,6 +266,7 @@ func Graph(p GraphParams) ([]Injection, error) {
 	rng := sim.NewRNG(p.Seed)
 	var injs []Injection
 	roundSpan := p.Gap * sim.Time(p.EdgesPerHost/p.EdgesPerPacket+2)
+	edges := make([]packet.Edge, p.EdgesPerPacket) // Build copies: one scratch serves every packet
 	for r := 0; r < p.Rounds; r++ {
 		for h := 0; h < p.Hosts; h++ {
 			t := sim.Time(r) * roundSpan
@@ -273,7 +275,7 @@ func Graph(p GraphParams) ([]Injection, error) {
 				if e+n > p.EdgesPerHost {
 					n = p.EdgesPerHost - e
 				}
-				edges := make([]packet.Edge, n)
+				edges = edges[:n]
 				for i := range edges {
 					edges[i] = packet.Edge{
 						Src: uint32(rng.Uint64()) % p.Vertices,
@@ -321,8 +323,8 @@ func Group(p GroupParams) ([]Injection, error) {
 	}
 	var injs []Injection
 	t := sim.Time(0)
+	payload := make([]byte, p.ChunkLen) // Build copies: one scratch serves every packet
 	for c := 0; c < p.Chunks; c++ {
-		payload := make([]byte, p.ChunkLen)
 		for i := range payload {
 			payload[i] = byte(c + i)
 		}

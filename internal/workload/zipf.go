@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -62,9 +63,9 @@ func KVZipf(p KVParams, skew float64) ([]Injection, error) {
 	// Rewrite the keys in place with Zipf draws (values untouched).
 	for _, inj := range injs {
 		data := inj.Pkt.Data
-		// Pairs start after base header + KV fixed header; each pair is
-		// key(4) + value(4).
-		off := 20 + 4
+		// Pairs start after the base header and the KV fixed header; each
+		// pair is key(4) + value(4).
+		off := packet.BaseHeaderLen + packet.KVHeaderFixedLen
 		for off+8 <= len(data) {
 			k := z.Sample()
 			data[off] = byte(k >> 24)
