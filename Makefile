@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
+.PHONY: all build test race bench bench-check perf soak fuzz kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
 
 all: build test
 
@@ -54,6 +54,25 @@ SOAK_SEEDS ?= 200
 PARALLEL ?=
 soak:
 	SOAK_SEEDS=$(SOAK_SEEDS) PARALLEL=$(PARALLEL) go test -run TestChaosSoak -v ./internal/netsim/
+
+# Native fuzzing of every input that crosses a trust boundary: packet
+# bytes (decoder, parse graph walker vs the reference parser, base
+# header), HA snapshot bytes and random fault plans. Go fuzzes one target
+# per invocation, so each runs in turn for FUZZTIME. A failing input is
+# written under the package's testdata/fuzz/ and replays in `go test`.
+FUZZTIME ?= 10s
+FUZZ_TARGETS := \
+	./internal/packet:FuzzDecoded \
+	./internal/packet:FuzzParseGraph \
+	./internal/packet:FuzzHeaderRoundTrip \
+	./internal/ha:FuzzSnapshotDecode \
+	./internal/faults:FuzzRandomPlan
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$pkg $$name ($(FUZZTIME))"; \
+		go test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # Kill-resume chaos gate (blocking in CI): run a journaled sweep, SIGKILL
 # it at a randomized (logged) delay, resume it, and demand stdout and

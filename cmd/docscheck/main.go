@@ -2,7 +2,7 @@
 // runs: it fails the build when the documentation map drifts from the
 // code it maps.
 //
-// Two checks:
+// Three checks:
 //
 //   - Godoc coverage: every package under internal/ must open with a
 //     `// Package <name>` doc comment, and every command under cmd/ with a

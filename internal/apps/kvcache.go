@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/packet"
+	"repro/internal/phv"
 	"repro/internal/pipeline"
 	"repro/internal/rmt"
 	"repro/internal/tm"
@@ -40,21 +41,18 @@ type KVCacheADCP struct {
 // hash of their first key (clients batch partition-aligned, see
 // PartitionKV), and the central program matches the whole batch against
 // the partition's shared cache table in one traversal. The batch keys
-// arrive through a PHV array container filled by the PARSER (§3.2's
-// "array processing techniques in packet parsing"), not by program code.
+// travel the pipeline as one array (§3.2), so the PHV budget must offer
+// an array container to hold them.
 func NewKVCacheADCP(cfg core.Config, kv KVConfig) (*KVCacheADCP, error) {
 	if err := kv.Validate(); err != nil {
 		return nil, err
 	}
-	layout := pipeline.StandardLayout(cfg.Pipe.PHVBudget)
-	keysID, err := layout.AllocArray("kv_keys")
-	if err != nil {
+	if _, err := phv.NewLayout(cfg.Pipe.PHVBudget).AllocArray("kv_keys"); err != nil {
 		return nil, fmt.Errorf("apps: KV cache needs an array container: %w", err)
 	}
 	part := tm.NewHashPartitioner(cfg.CentralPipelines)
 	central := &pipeline.Program{
-		Name:   "kvcache-central",
-		Layout: layout,
+		Name: "kvcache-central",
 		Funcs: []pipeline.StageFunc{
 			func(st *pipeline.Stage, ctx *pipeline.Context) error {
 				if ctx.Decoded.Base.Proto != packet.ProtoKV {
@@ -65,16 +63,8 @@ func NewKVCacheADCP(cfg core.Config, kv KVConfig) (*KVCacheADCP, error) {
 				case packet.KVGet:
 					var sc batchScratch
 					keys, results, hits := sc.slices(len(kvh.Pairs))
-					// The parser lifted the batch into the PHV array; the
-					// stage consumes it from there (capped at the array
-					// width — wider batches would need another container).
-					lifted := ctx.PHV.Array(keysID)
 					for i := range kvh.Pairs {
-						if i < len(lifted) {
-							keys[i] = uint64(lifted[i])
-						} else {
-							keys[i] = uint64(kvh.Pairs[i].Key)
-						}
+						keys[i] = uint64(kvh.Pairs[i].Key)
 					}
 					if _, err := st.Mem.LookupBatch(keys, results, hits); err != nil {
 						return err

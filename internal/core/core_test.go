@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/packet"
-	"repro/internal/phv"
 	"repro/internal/pipeline"
 )
 
@@ -530,98 +529,6 @@ func TestAccessorsAndByteCounters(t *testing.T) {
 	}
 	if s.CentralTraversals() != 1 {
 		t.Errorf("CentralTraversals = %d", s.CentralTraversals())
-	}
-}
-
-func TestPHVArrayContainerEndToEnd(t *testing.T) {
-	// A custom program layout with an ADCP array container: the ingress
-	// program lifts the KV keys into the PHV array; the central program
-	// consumes them FROM THE PHV (not from the decoded packet) — the §3.2
-	// dataflow where array data travels the pipeline as a first-class
-	// PHV element.
-	layout := pipeline.StandardLayout(phv.ADCPBudget)
-	batchID, err := layout.AllocArray("batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var centralSaw []uint32
-	progs := Programs{
-		Ingress: &pipeline.Program{
-			Layout: layout,
-			Funcs: []pipeline.StageFunc{
-				func(st *pipeline.Stage, ctx *pipeline.Context) error {
-					if ctx.Decoded.Base.Proto != packet.ProtoKV {
-						return nil
-					}
-					keys := make([]uint32, len(ctx.Decoded.KV.Pairs))
-					for i, p := range ctx.Decoded.KV.Pairs {
-						keys[i] = p.Key
-					}
-					ctx.PHV.SetArray(batchID, keys)
-					return nil
-				},
-			},
-		},
-		Central: &pipeline.Program{
-			Layout: layout,
-			Funcs: []pipeline.StageFunc{
-				func(st *pipeline.Stage, ctx *pipeline.Context) error {
-					if !ctx.PHV.Valid(batchID) {
-						return nil
-					}
-					centralSaw = append(centralSaw, ctx.PHV.Array(batchID)...)
-					ctx.Verdict = pipeline.VerdictConsume
-					return nil
-				},
-			},
-		},
-	}
-	s, err := New(smallConfig(), progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetPartition(func(ctx *pipeline.Context) int { return 0 })
-	if _, err := s.Process(kvPkt(1, 10, 20, 30, 40)); err != nil {
-		t.Fatal(err)
-	}
-	// The PHV array does NOT survive the TM crossing in this model (each
-	// pipeline re-parses), so central must re-derive... unless the
-	// ingress wrote it into the packet. Assert the actual contract:
-	// central saw nothing via PHV — documenting that PHV state is
-	// pipeline-local, like real hardware where the TM carries packets,
-	// not PHVs.
-	if len(centralSaw) != 0 {
-		t.Errorf("PHV array crossed the TM: %v — PHVs are per-pipeline", centralSaw)
-	}
-	// Within ONE pipeline the array is usable: verify directly.
-	pl, err := pipeline.New(smallConfig().Pipe, pipeline.NewParser(packet.StandardGraph(), layout))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := &pipeline.Program{
-		Layout: layout,
-		Funcs: []pipeline.StageFunc{
-			func(st *pipeline.Stage, ctx *pipeline.Context) error {
-				keys := make([]uint32, len(ctx.Decoded.KV.Pairs))
-				for i, p := range ctx.Decoded.KV.Pairs {
-					keys[i] = p.Key
-				}
-				ctx.PHV.SetArray(batchID, keys)
-				return nil
-			},
-			func(st *pipeline.Stage, ctx *pipeline.Context) error {
-				centralSaw = append(centralSaw, ctx.PHV.Array(batchID)...)
-				return nil
-			},
-		},
-	}
-	ctx, err := pl.Process(kvPkt(1, 10, 20, 30, 40), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.Release(ctx)
-	if len(centralSaw) != 4 || centralSaw[0] != 10 || centralSaw[3] != 40 {
-		t.Errorf("intra-pipeline array = %v", centralSaw)
 	}
 }
 

@@ -125,9 +125,13 @@ type ParseCostRow struct {
 // ParseCost demonstrates §3.3's "parsing efficiency is linked to the
 // complexity of structure within packets rather than port speed": states
 // visited depend on the header structure (protocol), not on how much data
-// the packet carries.
+// the packet carries. It walks each packet with the bound parser the
+// switch pipelines use.
 func ParseCost() (*stats.Table, []ParseCostRow, error) {
-	g := packet.StandardGraph()
+	parser, err := packet.StandardGraph().Bind()
+	if err != nil {
+		return nil, nil, err
+	}
 	t := stats.NewTable(
 		"§3.3: parse cost tracks structure, not payload",
 		"protocol", "elements", "parse states", "header bytes parsed",
@@ -153,15 +157,15 @@ func ParseCost() (*stats.Table, []ParseCostRow, error) {
 		{"kv", 16, mkKV(16)},
 	}
 	for _, cse := range cases {
-		res, err := g.Run(cse.pkt.Data, 0)
+		states, bytes, err := parser.Run(cse.pkt.Data, 0)
 		if err != nil {
 			return nil, nil, err
 		}
 		row := ParseCostRow{
 			Proto:         cse.name,
 			PayloadElems:  cse.elems,
-			StatesVisited: res.StatesVisited,
-			BytesConsumed: res.BytesConsumed,
+			StatesVisited: states,
+			BytesConsumed: bytes,
 		}
 		rows = append(rows, row)
 		record("parsecost.states_visited", float64(row.StatesVisited),

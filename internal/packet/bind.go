@@ -7,56 +7,14 @@ import (
 )
 
 // This file implements the bound (pre-resolved) form of the parse graph.
-// ParseGraph.Run builds name-keyed maps per packet; on the simulator hot
-// path that is the single largest per-packet allocation source. Binding
-// resolves every state reference, branch target, selector, and array
-// count to integer indexes once, and resolves field names to the
-// consumer's slot numbers (the pipeline passes PHV field IDs), so the
-// per-packet parse loop touches only flat slices and a caller-owned
-// reusable result. Selectors and array counts are read straight from the
-// packet at their field's offset, so fields the consumer does not map are
-// dropped at bind time — their extraction was invisible to consumers of
-// ParseResult, and per-state header-length checks (the only way a scalar
-// extract can fail) are preserved exactly.
-
-// FlatField is one extracted scalar, keyed by the consumer slot given to
-// Bind's lookup function.
-type FlatField struct {
-	Slot int
-	Val  uint64
-}
-
-// FlatArray is one extracted array, keyed by consumer slot. Vals aliases
-// the FlatResult's internal buffer and is valid until the next Run.
-type FlatArray struct {
-	Slot int
-	Vals []uint32
-}
-
-// FlatResult is the reusable output of BoundParser.Run. Successive runs
-// reuse the backing storage; steady-state parsing allocates nothing.
-type FlatResult struct {
-	Fields        []FlatField
-	Arrays        []FlatArray
-	StatesVisited int
-	BytesConsumed int
-}
-
-func (r *FlatResult) addArray(slot, n int) []uint32 {
-	if len(r.Arrays) < cap(r.Arrays) {
-		r.Arrays = r.Arrays[:len(r.Arrays)+1]
-	} else {
-		r.Arrays = append(r.Arrays, FlatArray{})
-	}
-	e := &r.Arrays[len(r.Arrays)-1]
-	e.Slot = slot
-	if cap(e.Vals) < n {
-		e.Vals = make([]uint32, n)
-	} else {
-		e.Vals = e.Vals[:n]
-	}
-	return e.Vals
-}
+// ParseGraph.Run builds name-keyed maps per packet; it stays as the
+// reference the bound form is tested against. Binding resolves every
+// state reference, branch target, selector and array count to integer
+// indexes once, so the per-packet walk touches only flat slices and
+// allocates nothing. The walk keeps exactly the checks and the cost of
+// ParseGraph.Run: each state's header length, each array's last element
+// within the packet, selector branching and the state limit. It stores no
+// field values; consumers read the packet's headers from Decoded.
 
 // boundField locates a scalar within a state's header.
 type boundField struct {
@@ -75,13 +33,7 @@ func (f boundField) read(data []byte) uint64 {
 	}
 }
 
-type boundExtract struct {
-	boundField
-	slot int // consumer slot
-}
-
 type boundArray struct {
-	slot     int        // consumer slot; -1 = bounds-check only (unmapped)
 	count    boundField // the count field's last extract in the state
 	base     int
 	stride   int
@@ -96,30 +48,22 @@ type boundBranch struct {
 
 type boundState struct {
 	hdrLen   int
-	extracts []boundExtract
 	arrays   []boundArray
 	sel      boundField // width 0 = no selector
 	branches []boundBranch
 	def      int // next state index; -1 = accept
 }
 
-// BoundParser is a ParseGraph resolved against one consumer's field
-// mapping (see ParseGraph.Bind). It is immutable once bound and keeps no
-// per-run state, so one BoundParser serves any number of consumers (every
-// pipeline of a switch) at once, each with its own FlatResult.
+// BoundParser is a validated ParseGraph resolved to indexes (see
+// ParseGraph.Bind). It is immutable and keeps no per-run state, so one
+// BoundParser serves any number of pipelines at once.
 type BoundParser struct {
 	states []boundState
 	start  int
 }
 
-// Bind validates the graph and resolves it against a consumer mapping:
-// lookup returns the consumer's slot for a field or array name (array
-// distinguishes scalar extracts from array extractions), or a negative
-// slot for names the consumer does not store. Unmapped scalars are
-// dropped from the bound program; unmapped arrays keep their bounds
-// checks (a truncated element is a parse error regardless of who stores
-// the values).
-func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParser, error) {
+// Bind validates the graph and resolves it for walking.
+func (g *ParseGraph) Bind() (*BoundParser, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -148,11 +92,6 @@ func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParse
 			last[f.Name] = boundField{off: f.Offset, width: f.Width}
 		}
 		bs := boundState{hdrLen: s.HdrLen, def: resolve(s.Default)}
-		for _, f := range s.Extracts {
-			if slot := lookup(f.Name, false); slot >= 0 {
-				bs.extracts = append(bs.extracts, boundExtract{boundField: boundField{off: f.Offset, width: f.Width}, slot: slot})
-			}
-		}
 		if s.Select != "" {
 			bs.sel = last[s.Select]
 			vals := make([]uint64, 0, len(s.Next))
@@ -165,16 +104,11 @@ func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParse
 			}
 		}
 		for _, a := range s.Arrays {
-			slot := lookup(a.Name, true)
-			if slot < 0 {
-				slot = -1
-			}
 			maxN := a.MaxCount
 			if maxN <= 0 {
 				maxN = 16
 			}
 			bs.arrays = append(bs.arrays, boundArray{
-				slot:     slot,
 				count:    last[a.CountField],
 				base:     a.BaseOffset,
 				stride:   a.Stride,
@@ -187,30 +121,22 @@ func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParse
 	return b, nil
 }
 
-// Run parses data, filling res (which is reset first and whose buffers
-// are reused). maxStates bounds traversal (loop protection); 0 means 64.
-// Error conditions and costs (StatesVisited, BytesConsumed) are exactly
-// those of ParseGraph.Run on the same graph.
-func (b *BoundParser) Run(data []byte, maxStates int, res *FlatResult) error {
+// Run walks data through the graph and returns the parse cost: states
+// visited and header bytes consumed. maxStates bounds traversal (loop
+// protection); 0 means 64. Errors and costs are exactly those of
+// ParseGraph.Run on the same graph.
+func (b *BoundParser) Run(data []byte, maxStates int) (states, bytes int, err error) {
 	if maxStates <= 0 {
 		maxStates = 64
 	}
-	res.Fields = res.Fields[:0]
-	res.Arrays = res.Arrays[:0]
-	res.StatesVisited = 0
-	res.BytesConsumed = 0
 	cur := b.start
 	for cur >= 0 {
-		if res.StatesVisited >= maxStates {
-			return fmt.Errorf("packet: parse exceeded %d states (cycle?)", maxStates)
+		if states >= maxStates {
+			return states, bytes, fmt.Errorf("packet: parse exceeded %d states (cycle?)", maxStates)
 		}
 		s := &b.states[cur]
 		if len(data) < s.hdrLen {
-			return ErrTruncated
-		}
-		for i := range s.extracts {
-			f := &s.extracts[i]
-			res.Fields = append(res.Fields, FlatField{Slot: f.slot, Val: f.read(data)})
+			return states, bytes, ErrTruncated
 		}
 		body := data[s.hdrLen:]
 		for i := range s.arrays {
@@ -219,19 +145,10 @@ func (b *BoundParser) Run(data []byte, maxStates int, res *FlatResult) error {
 			if n > a.maxCount {
 				n = a.maxCount
 			}
-			if n > 0 {
-				// Element offsets grow monotonically, so the last
-				// element's bound implies all earlier ones.
-				if a.base+(n-1)*a.stride+a.elemOff+4 > len(body) {
-					return ErrTruncated
-				}
-			}
-			if a.slot < 0 {
-				continue
-			}
-			out := res.addArray(a.slot, n)
-			for j := 0; j < n; j++ {
-				out[j] = binary.BigEndian.Uint32(body[a.base+j*a.stride+a.elemOff:])
+			// Element offsets grow monotonically, so the last element's
+			// bound implies all earlier ones.
+			if n > 0 && a.base+(n-1)*a.stride+a.elemOff+4 > len(body) {
+				return states, bytes, ErrTruncated
 			}
 		}
 		next := s.def
@@ -245,9 +162,9 @@ func (b *BoundParser) Run(data []byte, maxStates int, res *FlatResult) error {
 			}
 		}
 		data = body
-		res.BytesConsumed += s.hdrLen
-		res.StatesVisited++
+		bytes += s.hdrLen
+		states++
 		cur = next
 	}
-	return nil
+	return states, bytes, nil
 }

@@ -2,97 +2,57 @@ package packet
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
 // TestBoundParserMatchesRun is the differential oracle for the bound
 // parser: on valid packets of every protocol, every truncation of them,
 // byte-level corruptions and random bytes, BoundParser.Run must agree
-// with ParseGraph.Run on the error, the parse cost, and (for names the
-// consumer maps) every extracted field and array. It binds twice: with
-// every name mapped, and with none (all scalars dropped, arrays kept as
-// bounds checks only), so selectors and array counts are exercised both
-// as stored fields and as fields read only to steer the parse.
+// with the map-based reference ParseGraph.Run on the error, the states
+// visited and the bytes consumed. A second, looping graph with repeated
+// selector extracts, offset arrays and a small state limit exercises the
+// loop guard and the "last extract wins" rule the standard graph does
+// not reach.
 func TestBoundParserMatchesRun(t *testing.T) {
-	g := StandardGraph()
-	scalars, arrays := map[string]int{}, map[string]int{}
-	for _, s := range g.states {
-		for _, f := range s.Extracts {
-			if _, ok := scalars[f.Name]; !ok {
-				scalars[f.Name] = len(scalars) + len(arrays)
-			}
+	loop := NewParseGraph("a").
+		Add(&ParseState{
+			Name: "a", HdrLen: 2,
+			Extracts: []FieldRef{{Name: "sel", Offset: 0, Width: 1}, {Name: "sel", Offset: 1, Width: 1}},
+			Select:   "sel",
+			Next:     map[uint64]string{1: "a", 2: "b"},
+		}).
+		Add(&ParseState{
+			Name: "b", HdrLen: 3,
+			Extracts: []FieldRef{{Name: "n", Offset: 2, Width: 1}},
+			Arrays:   []ArrayRef{{Name: "vals", CountField: "n", BaseOffset: 1, Stride: 6, ElemOffset: 2, MaxCount: 3}},
+			Default:  "a",
+		})
+	graphs := []struct {
+		g         *ParseGraph
+		b         *BoundParser
+		maxStates int
+	}{{g: StandardGraph()}, {g: loop}, {g: loop, maxStates: 5}}
+	for i := range graphs {
+		b, err := graphs[i].g.Bind()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, a := range s.Arrays {
-			if _, ok := arrays[a.Name]; !ok {
-				arrays[a.Name] = len(scalars) + len(arrays)
-			}
-		}
+		graphs[i].b = b
 	}
-	slotName := map[int]string{}
-	for n, s := range scalars {
-		slotName[s] = n
-	}
-	for n, s := range arrays {
-		slotName[s] = n
-	}
-	all, err := g.Bind(func(name string, array bool) int {
-		m := scalars
-		if array {
-			m = arrays
-		}
-		if s, ok := m[name]; ok {
-			return s
-		}
-		return -1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	none, err := g.Bind(func(string, bool) int { return -1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var flat FlatResult
 	check := func(data []byte) {
 		t.Helper()
-		want, wantErr := g.Run(data, 0)
-		for _, b := range []*BoundParser{all, none} {
-			gotErr := b.Run(data, 0, &flat)
+		for _, gc := range graphs {
+			want, wantErr := gc.g.Run(data, gc.maxStates)
+			states, bytes, gotErr := gc.b.Run(data, gc.maxStates)
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Fatalf("data %x: bound err %v, map err %v", data, gotErr, wantErr)
 			}
 			if wantErr != nil {
 				continue
 			}
-			if flat.StatesVisited != want.StatesVisited || flat.BytesConsumed != want.BytesConsumed {
+			if states != want.StatesVisited || bytes != want.BytesConsumed {
 				t.Fatalf("data %x: bound cost %d states/%d bytes, map %d/%d", data,
-					flat.StatesVisited, flat.BytesConsumed, want.StatesVisited, want.BytesConsumed)
-			}
-			if b == none {
-				if len(flat.Fields) != 0 || len(flat.Arrays) != 0 {
-					t.Fatalf("data %x: unmapped bind stored %d fields, %d arrays", data, len(flat.Fields), len(flat.Arrays))
-				}
-				continue
-			}
-			fields := map[string]uint64{}
-			for _, f := range flat.Fields {
-				fields[slotName[f.Slot]] = f.Val
-			}
-			if !reflect.DeepEqual(fields, want.Fields) {
-				t.Fatalf("data %x: bound fields %v, map %v", data, fields, want.Fields)
-			}
-			got := map[string][]uint32{}
-			for _, a := range flat.Arrays {
-				got[slotName[a.Slot]] = append([]uint32{}, a.Vals...)
-			}
-			wantArrays := map[string][]uint32{}
-			for n, v := range want.Arrays {
-				wantArrays[n] = append([]uint32{}, v...)
-			}
-			if !reflect.DeepEqual(got, wantArrays) {
-				t.Fatalf("data %x: bound arrays %v, map %v", data, got, wantArrays)
+					states, bytes, want.StatesVisited, want.BytesConsumed)
 			}
 		}
 	}
@@ -107,6 +67,9 @@ func TestBoundParserMatchesRun(t *testing.T) {
 		// Wider than the 16-element array cap.
 		Build(Header{Proto: ProtoML, CoflowID: 6}, &MLHeader{Base: 1, Values: make([]uint32, 17)}),
 		Build(Header{Proto: ProtoKV, CoflowID: 7}, &KVHeader{Op: KVPut, Pairs: make([]KVPair, 18)}),
+		// Shaped for the looping graph: a → a → b (two elements) → a → b
+		// (five elements, capped at three) → a → accept: six states.
+		{Data: append([]byte{0, 1, 0, 2, 9, 9, 2, 0, 2, 9, 9, 5, 0, 0}, make([]byte, 20)...)},
 	}
 	for _, seed := range seeds {
 		for n := 0; n <= len(seed.Data); n++ {

@@ -43,25 +43,37 @@ func FuzzDecoded(f *testing.F) {
 	})
 }
 
+// FuzzParseGraph checks the bound walker the switches use against the
+// map-based reference parser on every input: same error, same states
+// visited, same bytes consumed.
 func FuzzParseGraph(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	g := StandardGraph()
+	b, err := g.Bind()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := g.Run(data, 0)
+		states, bytes, err := b.Run(data, 0)
+		res, refErr := g.Run(data, 0)
+		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("walker err %v, reference err %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
-		if res.BytesConsumed > len(data) {
-			t.Fatalf("parser consumed %d of %d bytes", res.BytesConsumed, len(data))
+		if states != res.StatesVisited || bytes != res.BytesConsumed {
+			t.Fatalf("walker cost %d states/%d bytes, reference %d/%d",
+				states, bytes, res.StatesVisited, res.BytesConsumed)
 		}
-		// Array extractions never alias the input slice's tail out of
-		// bounds; spot-check by mutating the input afterwards.
+		if bytes > len(data) {
+			t.Fatalf("parser consumed %d of %d bytes", bytes, len(data))
+		}
 		for name, vals := range res.Arrays {
-			_ = name
 			if len(vals) > 16 {
-				t.Fatalf("array longer than one width: %d", len(vals))
+				t.Fatalf("array %s longer than one width: %d", name, len(vals))
 			}
 		}
 	})

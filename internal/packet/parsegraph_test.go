@@ -122,13 +122,18 @@ func TestParseCostIndependentOfPayloadProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkStandardGraphParse measures the bound walker every switch
+// pipeline runs per packet (ParseGraph.Run is only the test reference).
 func BenchmarkStandardGraphParse(b *testing.B) {
-	g := StandardGraph()
+	bp, err := StandardGraph().Bind()
+	if err != nil {
+		b.Fatal(err)
+	}
 	p := Build(sampleHeader(ProtoKV), &KVHeader{Op: KVGet, Pairs: make([]KVPair, 16)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Run(p.Data, 0); err != nil {
+		if _, _, err := bp.Run(p.Data, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,15 +8,15 @@
 // that a packet's data elements can travel the pipeline as a unit instead of
 // being serialized into scalar containers (or worse, separate packets).
 //
-// A Layout is the compile-time allocation of named fields to containers; a
-// Vector is the run-time instance flowing between stages. Vectors are
-// pooled by the pipelines to keep the per-packet hot path allocation-free.
+// A Layout is the compile-time allocation of named fields to containers:
+// the program compiler builds one per placement to decide whether a
+// program fits the PHV (limitation ② when it needs arrays on RMT). The
+// simulator keeps no run-time PHV; stages read the packet's decoded
+// headers (pipeline.Context.Decoded), and the budget is the constraint
+// the model carries.
 package phv
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Width is a container width in bits.
 type Width int
@@ -161,149 +161,4 @@ func (l *Layout) Fields() []string {
 		names[i] = f.name
 	}
 	return names
-}
-
-// Vector is a run-time PHV instance. Scalars are stored masked to their
-// container width; arrays have a live length ≤ ArrayWidth.
-type Vector struct {
-	layout  *Layout
-	scalars []uint64
-	arrays  [][]uint32
-	arrLens []int
-	// Valid marks per-field validity (a header may be absent on a packet).
-	valid []bool
-}
-
-// NewVector allocates a vector for the layout.
-func NewVector(l *Layout) *Vector {
-	v := &Vector{
-		layout:  l,
-		scalars: make([]uint64, len(l.fields)),
-		valid:   make([]bool, len(l.fields)),
-	}
-	if l.budget.ArraySlots > 0 {
-		v.arrays = make([][]uint32, len(l.fields))
-		v.arrLens = make([]int, len(l.fields))
-		for id, f := range l.fields {
-			if f.array {
-				v.arrays[id] = make([]uint32, l.budget.ArrayWidth)
-			}
-		}
-	}
-	return v
-}
-
-// Reset invalidates all fields (reusing storage).
-func (v *Vector) Reset() {
-	for i := range v.valid {
-		v.valid[i] = false
-		v.scalars[i] = 0
-	}
-	for i := range v.arrLens {
-		v.arrLens[i] = 0
-	}
-}
-
-func mask(w Width) uint64 {
-	switch w {
-	case W8:
-		return 0xFF
-	case W16:
-		return 0xFFFF
-	default:
-		return 0xFFFFFFFF
-	}
-}
-
-// Set stores a scalar value (masked to the container width) and marks the
-// field valid. Setting an array field panics; use SetArray.
-func (v *Vector) Set(id FieldID, val uint64) {
-	f := &v.layout.fields[id]
-	if f.array {
-		panic(fmt.Sprintf("phv: Set on array field %q", f.name))
-	}
-	v.scalars[id] = val & mask(f.width)
-	v.valid[id] = true
-}
-
-// Get returns the scalar value of a field (0 if invalid).
-func (v *Vector) Get(id FieldID) uint64 { return v.scalars[id] }
-
-// Valid reports whether the field has been set since the last Reset.
-func (v *Vector) Valid(id FieldID) bool { return v.valid[id] }
-
-// SetArray copies vals (truncated to the array width) into an array field.
-func (v *Vector) SetArray(id FieldID, vals []uint32) {
-	f := &v.layout.fields[id]
-	if !f.array {
-		panic(fmt.Sprintf("phv: SetArray on scalar field %q", f.name))
-	}
-	n := len(vals)
-	if n > v.layout.budget.ArrayWidth {
-		n = v.layout.budget.ArrayWidth
-	}
-	copy(v.arrays[id][:n], vals[:n])
-	v.arrLens[id] = n
-	v.valid[id] = true
-}
-
-// Array returns the live slice of an array field. The returned slice aliases
-// the vector's storage; callers may mutate elements in place.
-func (v *Vector) Array(id FieldID) []uint32 {
-	return v.arrays[id][:v.arrLens[id]]
-}
-
-// Layout returns the vector's layout.
-func (v *Vector) Layout() *Layout { return v.layout }
-
-// Snapshot returns a name→value map of valid scalar fields, for tracing and
-// tests (names sorted for deterministic iteration by the caller).
-func (v *Vector) Snapshot() map[string]uint64 {
-	m := make(map[string]uint64)
-	for id, f := range v.layout.fields {
-		if v.valid[id] && !f.array {
-			m[f.name] = v.scalars[id]
-		}
-	}
-	return m
-}
-
-// SortedFieldNames returns valid scalar field names in sorted order.
-func (v *Vector) SortedFieldNames() []string {
-	var names []string
-	for id, f := range v.layout.fields {
-		if v.valid[id] && !f.array {
-			names = append(names, f.name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Pool is a free list of Vectors for one layout; pipelines use it so that
-// steady-state packet processing performs no allocation.
-type Pool struct {
-	layout *Layout
-	free   []*Vector
-}
-
-// NewPool returns an empty pool for the layout.
-func NewPool(l *Layout) *Pool { return &Pool{layout: l} }
-
-// Get returns a reset vector, reusing a pooled one when available.
-func (p *Pool) Get() *Vector {
-	if n := len(p.free); n > 0 {
-		v := p.free[n-1]
-		p.free = p.free[:n-1]
-		v.Reset()
-		return v
-	}
-	return NewVector(p.layout)
-}
-
-// Put returns a vector to the pool.
-func (p *Pool) Put(v *Vector) {
-	if v != nil {
-		p.free = append(p.free, v)
-	}
 }

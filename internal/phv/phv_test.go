@@ -1,9 +1,6 @@
 package phv
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestAllocAndLookup(t *testing.T) {
 	l := NewLayout(DefaultBudget)
@@ -97,102 +94,6 @@ func TestArrayAllocRMTvsADCP(t *testing.T) {
 	}
 }
 
-func TestVectorScalarMasking(t *testing.T) {
-	l := NewLayout(DefaultBudget)
-	id8, _ := l.Alloc("b", W8)
-	id16, _ := l.Alloc("s", W16)
-	id32, _ := l.Alloc("w", W32)
-	v := NewVector(l)
-	v.Set(id8, 0x1FF)
-	v.Set(id16, 0x1FFFF)
-	v.Set(id32, 0x1FFFFFFFF)
-	if v.Get(id8) != 0xFF {
-		t.Errorf("8-bit masking: %x", v.Get(id8))
-	}
-	if v.Get(id16) != 0xFFFF {
-		t.Errorf("16-bit masking: %x", v.Get(id16))
-	}
-	if v.Get(id32) != 0xFFFFFFFF {
-		t.Errorf("32-bit masking: %x", v.Get(id32))
-	}
-}
-
-func TestVectorValidityAndReset(t *testing.T) {
-	l := NewLayout(DefaultBudget)
-	id, _ := l.Alloc("x", W32)
-	v := NewVector(l)
-	if v.Valid(id) {
-		t.Error("fresh vector has valid field")
-	}
-	v.Set(id, 7)
-	if !v.Valid(id) || v.Get(id) != 7 {
-		t.Error("Set did not take")
-	}
-	v.Reset()
-	if v.Valid(id) || v.Get(id) != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestVectorArray(t *testing.T) {
-	l := NewLayout(ADCPBudget)
-	id, _ := l.AllocArray("vals")
-	v := NewVector(l)
-	v.SetArray(id, []uint32{1, 2, 3})
-	a := v.Array(id)
-	if len(a) != 3 || a[0] != 1 || a[2] != 3 {
-		t.Fatalf("Array = %v", a)
-	}
-	a[1] = 99 // aliasing is intended
-	if v.Array(id)[1] != 99 {
-		t.Error("Array does not alias storage")
-	}
-	// Truncation to array width.
-	long := make([]uint32, 100)
-	v.SetArray(id, long)
-	if len(v.Array(id)) != 16 {
-		t.Errorf("len = %d, want 16 (truncated)", len(v.Array(id)))
-	}
-}
-
-func TestVectorSetPanicsOnKindMismatch(t *testing.T) {
-	l := NewLayout(ADCPBudget)
-	sid, _ := l.Alloc("s", W32)
-	aid, _ := l.AllocArray("a")
-	v := NewVector(l)
-	mustPanic(t, "Set on array", func() { v.Set(aid, 1) })
-	mustPanic(t, "SetArray on scalar", func() { v.SetArray(sid, []uint32{1}) })
-}
-
-func mustPanic(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", name)
-		}
-	}()
-	fn()
-}
-
-func TestSnapshotAndSortedNames(t *testing.T) {
-	l := NewLayout(ADCPBudget)
-	b, _ := l.Alloc("beta", W16)
-	a, _ := l.Alloc("alpha", W32)
-	arr, _ := l.AllocArray("arr")
-	v := NewVector(l)
-	v.Set(a, 1)
-	v.Set(b, 2)
-	v.SetArray(arr, []uint32{9})
-	snap := v.Snapshot()
-	if len(snap) != 2 || snap["alpha"] != 1 || snap["beta"] != 2 {
-		t.Errorf("Snapshot = %v", snap)
-	}
-	names := v.SortedFieldNames()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Errorf("SortedFieldNames = %v", names)
-	}
-}
-
 func TestFieldsOrder(t *testing.T) {
 	l := NewLayout(DefaultBudget)
 	l.Alloc("one", W8)
@@ -203,95 +104,8 @@ func TestFieldsOrder(t *testing.T) {
 	}
 }
 
-func TestPoolReuse(t *testing.T) {
-	l := NewLayout(DefaultBudget)
-	id, _ := l.Alloc("x", W32)
-	p := NewPool(l)
-	v1 := p.Get()
-	v1.Set(id, 42)
-	p.Put(v1)
-	v2 := p.Get()
-	if v2 != v1 {
-		t.Error("pool did not reuse vector")
-	}
-	if v2.Valid(id) {
-		t.Error("pooled vector not reset")
-	}
-	p.Put(nil) // no-op
-	v3 := p.Get()
-	if v3 == nil {
-		t.Error("Get after Put(nil) returned nil")
-	}
-}
-
-// Property: Set/Get round-trips modulo masking for any value.
-func TestSetGetProperty(t *testing.T) {
-	l := NewLayout(DefaultBudget)
-	id, _ := l.Alloc("x", W16)
-	v := NewVector(l)
-	f := func(val uint64) bool {
-		v.Set(id, val)
-		return v.Get(id) == val&0xFFFF
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: array round-trips for any content up to the width.
-func TestArrayRoundTripProperty(t *testing.T) {
-	l := NewLayout(ADCPBudget)
-	id, _ := l.AllocArray("a")
-	v := NewVector(l)
-	f := func(vals []uint32) bool {
-		v.SetArray(id, vals)
-		got := v.Array(id)
-		n := len(vals)
-		if n > 16 {
-			n = 16
-		}
-		if len(got) != n {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBudgetBits(t *testing.T) {
 	if got := DefaultBudget.Bits(); got != 4096 {
 		t.Errorf("DefaultBudget.Bits = %d, want 4096 (Tofino-class)", got)
-	}
-}
-
-func BenchmarkPoolGetPut(b *testing.B) {
-	l := NewLayout(ADCPBudget)
-	l.Alloc("x", W32)
-	p := NewPool(l)
-	p.Put(p.Get())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := p.Get()
-		p.Put(v)
-	}
-}
-
-// Ablation (DESIGN.md decision 2): pooled vectors vs fresh allocation per
-// packet. Compare with BenchmarkPoolGetPut.
-func BenchmarkVectorFreshAlloc(b *testing.B) {
-	l := NewLayout(ADCPBudget)
-	l.Alloc("x", W32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v := NewVector(l)
-		_ = v
 	}
 }

@@ -6,61 +6,47 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/packet"
-	"repro/internal/phv"
 )
 
 // TestTraversalAllocsSteadyState pins the tentpole claim at the pipeline
-// layer: once the context free list, PHV pool, and bound-parser buffers
-// are warm, a full parse → stages → release traversal allocates nothing —
-// on the scalar RMT layout and on the ADCP layout with array containers.
-// A traversal whose stage sets ctx.Modified also deparses, which builds
-// the new packet and nothing else: exactly the Packet and its bytes.
+// layer: once the context free list is warm, a full parse → stages →
+// release traversal allocates nothing, on the scalar RMT and the
+// array-memory ADCP configuration alike. A traversal whose stage sets
+// ctx.Modified also deparses, which builds the new packet and nothing
+// else: exactly the Packet and its bytes.
 func TestTraversalAllocsSteadyState(t *testing.T) {
 	cases := []struct {
 		name     string
 		cfg      Config
-		arrays   bool
 		modified bool
 		want     float64
 	}{
-		{"RMT", DefaultRMTConfig(), false, false, 0},
-		{"ADCP", DefaultADCPConfig(), true, false, 0},
-		{"RMT-modified", DefaultRMTConfig(), false, true, 2},
-		{"ADCP-modified", DefaultADCPConfig(), true, true, 2},
+		{"RMT", DefaultRMTConfig(), false, 0},
+		{"ADCP", DefaultADCPConfig(), false, 0},
+		{"RMT-modified", DefaultRMTConfig(), true, 2},
+		{"ADCP-modified", DefaultADCPConfig(), true, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			layout := testLayout(t, tc.cfg.PHVBudget)
-			if tc.arrays {
-				for _, name := range []string{"kv_keys", "kv_values"} {
-					if _, err := layout.AllocArray(name); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			p, err := New(tc.cfg, NewParser(packet.StandardGraph(), layout))
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newTestPipeline(t, tc.cfg)
 			prog := &Program{
-				Name:   "alloc-probe",
-				Funcs:  make([]StageFunc, tc.cfg.Stages),
-				Layout: layout,
+				Name:  "alloc-probe",
+				Funcs: make([]StageFunc, tc.cfg.Stages),
 			}
-			// A stateful stage plus a PHV-reading stage, so the traversal
-			// exercises register RMW and container access, not just parse.
+			// A stateful stage plus a header-reading stage, so the
+			// traversal exercises register RMW and header access, not
+			// just parse.
 			prog.Funcs[0] = func(s *Stage, ctx *Context) error {
 				_, err := s.RegisterRMW(mat.RegAdd, 0, 1)
 				return err
 			}
-			id := layout.Lookup("coflow_id")
 			prog.Funcs[5] = func(s *Stage, ctx *Context) error {
-				ctx.Egress = int(ctx.PHV.Get(id) % 4)
+				ctx.Egress = int(ctx.Decoded.Base.CoflowID % 4)
 				ctx.Modified = tc.modified
 				return nil
 			}
 			pkt := kvPacket(4)
-			for i := 0; i < 8; i++ { // warm pools and free lists
+			for i := 0; i < 8; i++ { // warm the free list
 				ctx, err := p.Process(pkt, prog)
 				if err != nil {
 					t.Fatal(err)
@@ -84,7 +70,7 @@ func TestTraversalAllocsSteadyState(t *testing.T) {
 // TestReleaseIsIdempotent: double Release must not hand the same context
 // out twice (the free list would then serve one context to two packets).
 func TestReleaseIsIdempotent(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	ctx, err := p.Process(kvPacket(1), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,97 +92,74 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	p.Release(b)
 }
 
-// TestBoundParseMatchesMapParse runs the same packets through the bound
-// (flat) parser and the legacy map path and demands identical PHV
-// contents, cycle counts, and decode results.
+// TestBoundParseMatchesMapParse checks a pipeline's parse against the
+// map-based reference parser (ParseGraph.Run): the pipeline must charge
+// exactly the reference's states visited as parse cycles, and the decoded
+// headers the stages read must carry the values the reference extracts.
 func TestBoundParseMatchesMapParse(t *testing.T) {
-	cfg := DefaultADCPConfig()
-	build := func(bound bool) (*Pipeline, *phv.Layout) {
-		layout := testLayout(t, cfg.PHVBudget)
-		for _, name := range []string{"kv_keys", "kv_values"} {
-			if _, err := layout.AllocArray(name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		parser := NewParser(packet.StandardGraph(), layout)
-		if !bound {
-			parser.bound = nil // force the legacy map path
-		}
-		p, err := New(cfg, parser)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p, layout
-	}
-	flat, flatLayout := build(true)
-	legacy, legacyLayout := build(false)
-	if flat.parser.bound == nil {
-		t.Fatal("standard graph did not bind")
-	}
-	for _, n := range []int{0, 1, 3, 8} {
+	p := newTestPipeline(t, DefaultADCPConfig())
+	ref := packet.StandardGraph()
+	for _, n := range []int{0, 1, 3, 8, 16, 18} {
 		pkt := kvPacket(n)
-		fc, err := flat.Process(pkt, nil)
+		want, err := ref.Run(pkt.Data, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc, err := legacy.Process(pkt, nil)
+		ctx, err := p.Process(pkt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fc.Cycles != lc.Cycles {
-			t.Fatalf("n=%d: bound cycles %d, legacy %d", n, fc.Cycles, lc.Cycles)
+		if parse := ctx.Cycles - p.NumStages(); parse != want.StatesVisited {
+			t.Fatalf("n=%d: pipeline parse cycles %d, reference states %d", n, parse, want.StatesVisited)
 		}
-		for _, name := range []string{"dst_port", "proto", "coflow_id", "kv_op", "kv_count"} {
-			fv := fc.PHV.Get(flatLayout.Lookup(name))
-			lv := lc.PHV.Get(legacyLayout.Lookup(name))
-			if fv != lv {
-				t.Fatalf("n=%d: field %s: bound %d, legacy %d", n, name, fv, lv)
+		d := &ctx.Decoded
+		for name, got := range map[string]uint64{
+			"dst_port":  uint64(d.Base.DstPort),
+			"proto":     uint64(d.Base.Proto),
+			"coflow_id": uint64(d.Base.CoflowID),
+			"kv_op":     uint64(d.KV.Op),
+			"kv_count":  uint64(len(d.KV.Pairs)),
+		} {
+			if got != want.Fields[name] {
+				t.Fatalf("n=%d: field %s: decoded %d, reference %d", n, name, got, want.Fields[name])
 			}
 		}
-		fk := fc.PHV.Array(flatLayout.Lookup("kv_keys"))
-		lk := lc.PHV.Array(legacyLayout.Lookup("kv_keys"))
-		if len(fk) != len(lk) {
-			t.Fatalf("n=%d: kv_keys len: bound %d, legacy %d", n, len(fk), len(lk))
+		// The reference lifts at most one array width of keys.
+		keys := want.Arrays["kv_keys"]
+		if wantLen := min(n, 16); len(keys) != wantLen {
+			t.Fatalf("n=%d: reference lifted %d keys, want %d", n, len(keys), wantLen)
 		}
-		for i := range fk {
-			if fk[i] != lk[i] {
-				t.Fatalf("n=%d: kv_keys[%d]: bound %d, legacy %d", n, i, fk[i], lk[i])
+		for i, k := range keys {
+			if d.KV.Pairs[i].Key != k {
+				t.Fatalf("n=%d: kv_keys[%d]: decoded %d, reference %d", n, i, d.KV.Pairs[i].Key, k)
 			}
 		}
-		flat.Release(fc)
-		legacy.Release(lc)
+		p.Release(ctx)
 	}
 }
 
-// TestSharedParserConcurrentPipelines: one bound Parser serves several
+// TestSharedParserConcurrentPipelines: one bound parser serves several
 // pipelines at once. Each pipeline, on its own goroutine, must parse
 // exactly what a pipeline with a private parser parses; run under -race
-// this also proves the shared program is read-only.
+// this also proves the shared parser is read-only.
 func TestSharedParserConcurrentPipelines(t *testing.T) {
 	cfg := DefaultADCPConfig()
-	layout := testLayout(t, cfg.PHVBudget)
-	if _, err := layout.AllocArray("kv_keys"); err != nil {
-		t.Fatal(err)
-	}
-	shared := NewParser(packet.StandardGraph(), layout)
-	if shared.bound == nil {
-		t.Fatal("standard graph did not bind")
-	}
-	count, keys := layout.Lookup("kv_count"), layout.Lookup("kv_keys")
-	parse := func(p *Pipeline, n int) (uint64, []uint32, int) {
+	shared := standardParser(t)
+	parse := func(p *Pipeline, n int) (int, []uint32, int) {
 		ctx, err := p.Process(kvPacket(n), nil)
 		if err != nil {
 			t.Error(err)
 			return 0, nil, 0
 		}
 		defer p.Release(ctx)
-		return ctx.PHV.Get(count), append([]uint32(nil), ctx.PHV.Array(keys)...), ctx.Cycles
+		var keys []uint32
+		for _, pair := range ctx.Decoded.KV.Pairs {
+			keys = append(keys, pair.Key)
+		}
+		return len(ctx.Decoded.KV.Pairs), keys, ctx.Cycles
 	}
-	ref, err := New(cfg, NewParser(packet.StandardGraph(), layout))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCount, wantKeys, wantCycles := make([]uint64, 9), make([][]uint32, 9), make([]int, 9)
+	ref := newTestPipeline(t, cfg)
+	wantCount, wantKeys, wantCycles := make([]int, 9), make([][]uint32, 9), make([]int, 9)
 	for n := range wantCount {
 		wantCount[n], wantKeys[n], wantCycles[n] = parse(ref, n)
 	}

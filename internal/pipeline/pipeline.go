@@ -7,7 +7,7 @@
 // per second. Stage programs are sequences of per-stage functions produced
 // by the program compiler (or written directly by tests); each function
 // sees the stage's table memory and register files plus the per-packet
-// context (PHV, decoded headers, verdict).
+// context (decoded headers, verdict, scratch).
 //
 // The same Pipeline type serves as RMT ingress/egress pipeline and as ADCP
 // ingress/central/egress pipeline — the architectures differ in how many
@@ -49,7 +49,10 @@ type Config struct {
 	// ClockHz is the pipeline clock. At line rate the pipeline retires one
 	// packet per cycle, so this is also its packet rate ceiling.
 	ClockHz float64
-	// PHVBudget is the packet-header-vector container budget.
+	// PHVBudget is the packet-header-vector container budget programs
+	// on this pipeline must fit. It is a constraint, not run-time state:
+	// apps check their needs against it (the KV cache needs an array
+	// container, the parameter server an array as wide as its chunk).
 	PHVBudget phv.Budget
 }
 
@@ -154,9 +157,11 @@ func (v Verdict) String() string {
 
 // Context carries one packet through a traversal.
 type Context struct {
-	Pkt     *packet.Packet
+	Pkt *packet.Packet
+	// Decoded is the packet's headers, decoded once per traversal after
+	// the parser accepts the packet. It is the only per-packet header
+	// representation stages read and write.
 	Decoded packet.Decoded
-	PHV     *phv.Vector
 
 	Verdict   Verdict
 	Egress    int   // output port (or central pipeline index at TM1)
@@ -220,54 +225,20 @@ func (c *Context) Emit(pkt *packet.Packet, ports ...int) {
 type StageFunc func(s *Stage, ctx *Context) error
 
 // Program is a full pipeline program: one function per stage (nil entries
-// are no-ops) and the field layout its PHV uses.
+// are no-ops).
 type Program struct {
-	Name   string
-	Funcs  []StageFunc
-	Layout *phv.Layout
-}
-
-// Parser is a parse graph resolved against the PHV layout its pipelines
-// fill. It is immutable, so a switch binds the graph once and shares one
-// Parser across all of its pipelines; each pipeline keeps its own parse
-// result buffer.
-type Parser struct {
-	graph  *packet.ParseGraph
-	layout *phv.Layout
-	// bound is the graph pre-resolved against the layout (nil when the
-	// graph does not validate; then pipelines fall back to the map path).
-	bound *packet.BoundParser
-}
-
-// NewParser binds graph to layout. The layout must be allocated from the
-// PHV budget of every pipeline the parser serves.
-func NewParser(graph *packet.ParseGraph, layout *phv.Layout) *Parser {
-	ps := &Parser{graph: graph, layout: layout}
-	// Best effort: a graph that fails validation keeps the legacy
-	// map-based parse path (identical behavior, slower).
-	if bound, err := graph.Bind(func(name string, array bool) int {
-		id := layout.Lookup(name)
-		if id == phv.Invalid || layout.IsArray(id) != array {
-			return -1
-		}
-		return int(id)
-	}); err == nil {
-		ps.bound = bound
-	}
-	return ps
+	Name  string
+	Funcs []StageFunc
 }
 
 // Pipeline is a parser + stages + deparser with cycle accounting.
 type Pipeline struct {
 	cfg    Config
 	stages []*Stage
-	parser *Parser
-	pool   *phv.Pool
+	parser *packet.BoundParser
 
-	// flat is the bound parser's reusable result and ctxFree the context
-	// free list: together they make the steady-state traversal
-	// allocation-free.
-	flat    packet.FlatResult
+	// ctxFree is the context free list: it makes the steady-state
+	// traversal allocation-free.
 	ctxFree []*Context
 
 	packets     uint64
@@ -279,18 +250,14 @@ type Pipeline struct {
 	observer Observer
 }
 
-// New builds a pipeline around a shared parser. The parser's layout must
-// be allocated from cfg.PHVBudget (the program compiler guarantees this;
-// direct users must too).
-func New(cfg Config, parser *Parser) (*Pipeline, error) {
+// New builds a pipeline around a bound parser. The parser is read-only,
+// so a switch binds its parse graph once and shares it across all of its
+// pipelines.
+func New(cfg Config, parser *packet.BoundParser) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Pipeline{
-		cfg:    cfg,
-		parser: parser,
-		pool:   phv.NewPool(parser.layout),
-	}
+	p := &Pipeline{cfg: cfg, parser: parser}
 	for i := 0; i < cfg.Stages; i++ {
 		st := &Stage{
 			Index: i,
@@ -336,7 +303,6 @@ func (p *Pipeline) Process(pkt *packet.Packet, prog *Program) (*Context, error) 
 	} else {
 		ctx = &Context{Pkt: pkt, Egress: -1}
 	}
-	ctx.PHV = p.pool.Get()
 	if err := p.runInto(ctx, prog); err != nil {
 		p.Release(ctx)
 		return nil, err
@@ -345,8 +311,8 @@ func (p *Pipeline) Process(pkt *packet.Packet, prog *Program) (*Context, error) 
 }
 
 // Resume re-runs a recirculated context through the pipeline: the context
-// keeps its ElementOffset and PHV across passes, as switch recirculation
-// preserves attached metadata.
+// keeps its ElementOffset and Scratch across passes, as switch
+// recirculation preserves attached metadata.
 func (p *Pipeline) Resume(ctx *Context, prog *Program) error {
 	ctx.Verdict = VerdictForward
 	ctx.Cycles = 0
@@ -354,45 +320,14 @@ func (p *Pipeline) Resume(ctx *Context, prog *Program) error {
 }
 
 func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
-	// Parse. The bound parser writes slot-keyed flat results into a
-	// reusable buffer; the map path remains for unvalidatable graphs and
-	// is behaviorally identical.
-	if bound := p.parser.bound; bound != nil {
-		res := &p.flat
-		if err := bound.Run(ctx.Pkt.Data, 0, res); err != nil {
-			p.parseErrors++
-			return fmt.Errorf("pipeline: parse: %w", err)
-		}
-		for i := range res.Fields {
-			ctx.PHV.Set(phv.FieldID(res.Fields[i].Slot), res.Fields[i].Val)
-		}
-		// Array extractions land in array containers when the layout has
-		// them (ADCP §3.2: arrays as first-class parse outputs). RMT
-		// layouts have no array containers, so the data stays packet-only
-		// there (the binder drops them to bounds-check-only).
-		for i := range res.Arrays {
-			ctx.PHV.SetArray(phv.FieldID(res.Arrays[i].Slot), res.Arrays[i].Vals)
-		}
-		ctx.Cycles += res.StatesVisited
-	} else {
-		layout := p.parser.layout
-		res, err := p.parser.graph.Run(ctx.Pkt.Data, 0)
-		if err != nil {
-			p.parseErrors++
-			return fmt.Errorf("pipeline: parse: %w", err)
-		}
-		for name, val := range res.Fields {
-			if id := layout.Lookup(name); id != phv.Invalid && !layout.IsArray(id) {
-				ctx.PHV.Set(id, val)
-			}
-		}
-		for name, vals := range res.Arrays {
-			if id := layout.Lookup(name); id != phv.Invalid && layout.IsArray(id) {
-				ctx.PHV.SetArray(id, vals)
-			}
-		}
-		ctx.Cycles += res.StatesVisited
+	// Parse: the walker charges one cycle per state visited and rejects
+	// packets the graph does not accept; stages read the decoded headers.
+	states, _, err := p.parser.Run(ctx.Pkt.Data, 0)
+	if err != nil {
+		p.parseErrors++
+		return fmt.Errorf("pipeline: parse: %w", err)
 	}
+	ctx.Cycles += states
 	if err := ctx.Decoded.DecodePacket(ctx.Pkt); err != nil {
 		p.parseErrors++
 		return fmt.Errorf("pipeline: decode: %w", err)
@@ -401,59 +336,25 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 		p.observer(Event{Kind: EvParsed, Stage: -1, Cycles: ctx.Cycles, Verdict: ctx.Verdict})
 	}
 
-	// Stages. Without an observer the traversal is a single flat loop
-	// over the program's populated stages: empty stages contribute their
-	// cycle via arithmetic instead of loop iterations, and no per-stage
-	// closures or events are involved. Cycle accounting telescopes to
-	// exactly the per-stage loop's: a traversal that breaks at stage i
-	// has paid i+1 stage cycles, a full pass all of them.
-	if p.observer == nil {
-		n := len(p.stages)
-		prev := -1
-		if prog != nil {
-			limit := len(prog.Funcs)
-			if n < limit {
-				limit = n
-			}
-			for i := 0; i < limit; i++ {
-				fn := prog.Funcs[i]
-				if fn == nil {
-					continue
-				}
-				ctx.Cycles += i - prev // skipped stages plus this one
-				prev = i
-				st := p.stages[i]
-				st.rmwDone = false
-				if err := fn(st, ctx); err != nil {
-					// The failing stage's own cycle is already counted,
-					// matching the per-stage loop (which counts it only
-					// on success) is moot: errors abort the traversal
-					// before counters publish.
-					return fmt.Errorf("pipeline: stage %d: %w", i, err)
-				}
-				if ctx.Verdict == VerdictDrop || ctx.Verdict == VerdictConsume {
-					break
-				}
-			}
-		}
-		if ctx.Verdict != VerdictDrop && ctx.Verdict != VerdictConsume {
-			ctx.Cycles += n - 1 - prev // trailing empty stages
-		}
-	} else {
-		for i, st := range p.stages {
+	// Stages: one cycle each, up to and including the stage that drops
+	// or consumes the packet.
+	var funcs []StageFunc
+	if prog != nil {
+		funcs = prog.Funcs
+	}
+	for i, st := range p.stages {
+		if i < len(funcs) && funcs[i] != nil {
 			st.rmwDone = false
-			if prog != nil && i < len(prog.Funcs) && prog.Funcs[i] != nil {
-				if err := prog.Funcs[i](st, ctx); err != nil {
-					return fmt.Errorf("pipeline: stage %d: %w", i, err)
-				}
+			if err := funcs[i](st, ctx); err != nil {
+				return fmt.Errorf("pipeline: stage %d: %w", i, err)
 			}
-			ctx.Cycles++
-			if p.observer != nil {
-				p.observer(Event{Kind: EvStage, Stage: i, Cycles: ctx.Cycles, Verdict: ctx.Verdict})
-			}
-			if ctx.Verdict == VerdictDrop || ctx.Verdict == VerdictConsume {
-				break
-			}
+		}
+		ctx.Cycles++
+		if p.observer != nil {
+			p.observer(Event{Kind: EvStage, Stage: i, Cycles: ctx.Cycles, Verdict: ctx.Verdict})
+		}
+		if ctx.Verdict == VerdictDrop || ctx.Verdict == VerdictConsume {
+			break
 		}
 	}
 	p.stageCycles += uint64(ctx.Cycles)
@@ -485,16 +386,12 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 	return nil
 }
 
-// Release returns the context (and its PHV) to the pipeline's pools.
-// The context must not be read afterwards: Process recycles it. Double
-// release is a safe no-op.
+// Release returns the context to the pipeline's free list. The context
+// must not be read afterwards: Process recycles it. Double release is a
+// safe no-op.
 func (p *Pipeline) Release(ctx *Context) {
 	if ctx == nil || ctx.released {
 		return
-	}
-	if ctx.PHV != nil {
-		p.pool.Put(ctx.PHV)
-		ctx.PHV = nil
 	}
 	ctx.released = true
 	ctx.Pkt = nil

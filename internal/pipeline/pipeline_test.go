@@ -6,35 +6,25 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/packet"
-	"repro/internal/phv"
 )
 
-func testLayout(t *testing.T, b phv.Budget) *phv.Layout {
+// standardParser binds the standard parse graph.
+func standardParser(t testing.TB) *packet.BoundParser {
 	t.Helper()
-	l := phv.NewLayout(b)
-	for _, f := range []struct {
-		name string
-		w    phv.Width
-	}{
-		{"dst_port", phv.W16}, {"src_port", phv.W16}, {"proto", phv.W8},
-		{"flags", phv.W8}, {"coflow_id", phv.W32}, {"flow_id", phv.W32},
-		{"seq", phv.W32}, {"length", phv.W16}, {"kv_op", phv.W8}, {"kv_count", phv.W16},
-	} {
-		if _, err := l.Alloc(f.name, f.w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return l
-}
-
-func newTestPipeline(t *testing.T, cfg Config) (*Pipeline, *phv.Layout) {
-	t.Helper()
-	layout := testLayout(t, cfg.PHVBudget)
-	p, err := New(cfg, NewParser(packet.StandardGraph(), layout))
+	bp, err := packet.StandardGraph().Bind()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, layout
+	return bp
+}
+
+func newTestPipeline(t *testing.T, cfg Config) *Pipeline {
+	t.Helper()
+	p, err := New(cfg, standardParser(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func kvPacket(n int) *packet.Packet {
@@ -70,20 +60,22 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestProcessFillsPHVAndDecodes(t *testing.T) {
-	p, layout := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	ctx, err := p.Process(kvPacket(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Release(ctx)
-	if got := ctx.PHV.Get(layout.Lookup("coflow_id")); got != 9 {
+	if got := ctx.Decoded.Base.CoflowID; got != 9 {
 		t.Errorf("coflow_id = %d, want 9", got)
 	}
-	if got := ctx.PHV.Get(layout.Lookup("kv_count")); got != 3 {
-		t.Errorf("kv_count = %d, want 3", got)
-	}
 	if len(ctx.Decoded.KV.Pairs) != 3 {
-		t.Errorf("decoded %d pairs", len(ctx.Decoded.KV.Pairs))
+		t.Errorf("decoded %d pairs, want 3", len(ctx.Decoded.KV.Pairs))
+	}
+	for i, pair := range ctx.Decoded.KV.Pairs {
+		if pair.Key != uint32(i+1) {
+			t.Errorf("pair %d key = %d, want %d", i, pair.Key, i+1)
+		}
 	}
 	if ctx.Verdict != VerdictForward {
 		t.Errorf("verdict = %v", ctx.Verdict)
@@ -95,7 +87,7 @@ func TestProcessFillsPHVAndDecodes(t *testing.T) {
 }
 
 func TestStageProgramRuns(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	// Install a table entry in stage 0, match the first KV key on it.
 	p.Stage(0).Mem.Install(1, mat.Result{ActionID: 7, Params: [2]uint64{3, 0}})
 	var hitAction int
@@ -123,7 +115,7 @@ func TestStageProgramRuns(t *testing.T) {
 }
 
 func TestDropShortCircuitsStages(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	ran := make([]bool, 3)
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error { ran[0] = true; ctx.Verdict = VerdictDrop; return nil },
@@ -144,7 +136,7 @@ func TestDropShortCircuitsStages(t *testing.T) {
 }
 
 func TestDeparserReencodesModifications(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error {
 			ctx.Decoded.KV.Pairs[0].Value = 12345
@@ -176,7 +168,7 @@ func TestDeparserReencodesModifications(t *testing.T) {
 }
 
 func TestRegisterRMWOncePerTraversal(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	var second error
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error {
@@ -218,7 +210,7 @@ func TestRegisterRMWOncePerTraversal(t *testing.T) {
 }
 
 func TestRegisterRMWOutOfRange(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	st := p.Stage(0)
 	st.rmwDone = false
 	if _, err := st.RegisterRMW(mat.RegAdd, -1, 1); err == nil {
@@ -230,7 +222,7 @@ func TestRegisterRMWOutOfRange(t *testing.T) {
 }
 
 func TestStageErrorPropagates(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	prog := &Program{Funcs: []StageFunc{
 		nil, // nil funcs are no-ops
 		func(s *Stage, ctx *Context) error { return mat.ErrTableFull },
@@ -241,7 +233,7 @@ func TestStageErrorPropagates(t *testing.T) {
 }
 
 func TestParseErrorCounted(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	bad := &packet.Packet{Data: []byte{1, 2, 3}}
 	if _, err := p.Process(bad, nil); err == nil {
 		t.Fatal("truncated packet accepted")
@@ -252,7 +244,7 @@ func TestParseErrorCounted(t *testing.T) {
 }
 
 func TestResumePreservesElementOffset(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	// Program: process one element per pass, recirculate until done.
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error {
@@ -292,7 +284,7 @@ func TestResumePreservesElementOffset(t *testing.T) {
 
 func TestModeledThroughput(t *testing.T) {
 	cfg := DefaultRMTConfig() // 1.25 GHz
-	p, _ := newTestPipeline(t, cfg)
+	p := newTestPipeline(t, cfg)
 	if got := p.PacketRateCeiling(); got != 1.25e9 {
 		t.Errorf("ceiling = %v pps, want 1.25e9", got)
 	}
@@ -303,7 +295,7 @@ func TestModeledThroughput(t *testing.T) {
 
 func TestADCPConfigArrayStages(t *testing.T) {
 	cfg := DefaultADCPConfig()
-	p, _ := newTestPipeline(t, cfg)
+	p := newTestPipeline(t, cfg)
 	if p.Stage(0).Mem.Mode() != mat.ModeArray {
 		t.Error("ADCP stages not in array mode")
 	}
@@ -320,31 +312,30 @@ func TestVerdictStrings(t *testing.T) {
 	}
 }
 
-func TestPHVPooledAcrossPackets(t *testing.T) {
-	p, layout := newTestPipeline(t, DefaultRMTConfig())
-	ctx1, err := p.Process(kvPacket(1), nil)
+// TestContextPooledAcrossPackets: a released context is reused for the
+// next packet, and its decoded headers carry that packet, not the last.
+func TestContextPooledAcrossPackets(t *testing.T) {
+	p := newTestPipeline(t, DefaultRMTConfig())
+	ctx1, err := p.Process(kvPacket(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := ctx1.PHV
 	p.Release(ctx1)
 	ctx2, err := p.Process(kvPacket(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Release(ctx2)
-	if ctx2.PHV != v1 {
-		t.Error("PHV not reused from pool")
+	if ctx2 != ctx1 {
+		t.Error("context not reused from the free list")
 	}
-	if got := ctx2.PHV.Get(layout.Lookup("kv_count")); got != 1 {
-		t.Errorf("reused PHV has stale/missing data: kv_count = %d", got)
+	if n := len(ctx2.Decoded.KV.Pairs); n != 1 {
+		t.Errorf("reused context has stale decoded headers: %d pairs, want 1", n)
 	}
 }
 
 func BenchmarkProcessNoProgram(b *testing.B) {
-	layout := phv.NewLayout(phv.DefaultBudget)
-	layout.Alloc("coflow_id", phv.W32)
-	p, err := New(DefaultRMTConfig(), NewParser(packet.StandardGraph(), layout))
+	p, err := New(DefaultRMTConfig(), standardParser(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,7 +352,7 @@ func BenchmarkProcessNoProgram(b *testing.B) {
 }
 
 func TestEmitSetsFlagAndInheritsRecirculations(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error {
 			res := packet.BuildRaw(packet.Header{DstPort: 2}, 8)
@@ -393,7 +384,7 @@ func TestEmitSetsFlagAndInheritsRecirculations(t *testing.T) {
 }
 
 func TestScratchSurvivesResume(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error {
 			if ctx.Scratch[0] == 0 {
@@ -421,7 +412,7 @@ func TestScratchSurvivesResume(t *testing.T) {
 }
 
 func TestConsumeShortCircuitsLikeDrop(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	ran := 0
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error { ran++; ctx.Verdict = VerdictConsume; return nil },
@@ -444,7 +435,7 @@ func TestStageTCAMACL(t *testing.T) {
 	// An ACL in stage 0's TCAM: drop every packet whose coflow id matches
 	// 0xDEAD00xx (wildcard low byte), higher-priority allow for one
 	// specific id.
-	p, layout := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	st := p.Stage(0)
 	if st.TCAM == nil {
 		t.Fatal("default config should provision a TCAM")
@@ -457,7 +448,7 @@ func TestStageTCAMACL(t *testing.T) {
 	}
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error {
-			r, ok := s.TCAM.Lookup(ctx.PHV.Get(layout.Lookup("coflow_id")))
+			r, ok := s.TCAM.Lookup(uint64(ctx.Decoded.Base.CoflowID))
 			if ok && r.ActionID == 1 {
 				ctx.Verdict = VerdictDrop
 			}
@@ -497,7 +488,7 @@ func TestStageTCAMACL(t *testing.T) {
 func TestTCAMDisabled(t *testing.T) {
 	cfg := DefaultRMTConfig()
 	cfg.TCAMEntriesPerStage = 0
-	p, _ := newTestPipeline(t, cfg)
+	p := newTestPipeline(t, cfg)
 	if p.Stage(0).TCAM != nil {
 		t.Error("TCAM provisioned despite zero budget")
 	}

@@ -9,7 +9,7 @@ import (
 func TestObserverSequence(t *testing.T) {
 	cfg := DefaultRMTConfig()
 	cfg.Stages = 3
-	p, _ := newTestPipeline(t, cfg)
+	p := newTestPipeline(t, cfg)
 	var rec Recorder
 	p.SetObserver(rec.Observe)
 	prog := &Program{Funcs: []StageFunc{
@@ -46,7 +46,7 @@ func TestObserverSequence(t *testing.T) {
 func TestObserverDropStopsEarly(t *testing.T) {
 	cfg := DefaultRMTConfig()
 	cfg.Stages = 4
-	p, _ := newTestPipeline(t, cfg)
+	p := newTestPipeline(t, cfg)
 	var rec Recorder
 	p.SetObserver(rec.Observe)
 	prog := &Program{Funcs: []StageFunc{
@@ -69,7 +69,7 @@ func TestObserverDropStopsEarly(t *testing.T) {
 }
 
 func TestObserverClearedAndReset(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	var rec Recorder
 	p.SetObserver(rec.Observe)
 	ctx, _ := p.Process(kvPacket(1), nil)
@@ -98,46 +98,13 @@ func TestEventStrings(t *testing.T) {
 	}
 }
 
-func TestParserFillsPHVArrayContainers(t *testing.T) {
-	// §3.2 "array processing in packet parsing": with a layout that has an
-	// array container named like a parse-graph array, the parser fills it
-	// before any stage runs — no program code needed.
-	cfg := DefaultADCPConfig()
-	layout := StandardLayout(cfg.PHVBudget)
-	keysID, err := layout.AllocArray("kv_keys")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(cfg, NewParser(packet.StandardGraph(), layout))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []uint32
-	prog := &Program{Layout: layout, Funcs: []StageFunc{
-		func(s *Stage, ctx *Context) error {
-			seen = append(seen, ctx.PHV.Array(keysID)...)
-			return nil
-		},
-	}}
-	pkt := packet.Build(packet.Header{Proto: packet.ProtoKV, DstPort: 1},
-		&packet.KVHeader{Op: packet.KVGet, Pairs: []packet.KVPair{{Key: 5}, {Key: 6}, {Key: 7}}})
-	ctx, err := p.Process(pkt, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Release(ctx)
-	if len(seen) != 3 || seen[0] != 5 || seen[2] != 7 {
-		t.Errorf("stage saw %v via PHV array", seen)
-	}
-}
-
 func TestObserverCyclesAcrossResume(t *testing.T) {
 	// Per-traversal cycle counts restart on Resume (each recirculation pass
 	// is its own traversal), while the pipeline's StageCycles accumulates
 	// across passes.
 	cfg := DefaultRMTConfig()
 	cfg.Stages = 2
-	p, _ := newTestPipeline(t, cfg)
+	p := newTestPipeline(t, cfg)
 	var rec Recorder
 	p.SetObserver(rec.Observe)
 	pass := 0
@@ -202,7 +169,7 @@ func TestObserverCyclesAcrossResume(t *testing.T) {
 }
 
 func TestObserverRearmsAfterDisarm(t *testing.T) {
-	p, _ := newTestPipeline(t, DefaultRMTConfig())
+	p := newTestPipeline(t, DefaultRMTConfig())
 	var rec Recorder
 	p.SetObserver(rec.Observe)
 	ctx, _ := p.Process(kvPacket(1), nil)

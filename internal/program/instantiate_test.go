@@ -11,7 +11,11 @@ import (
 
 func buildPipeline(t *testing.T, cfg pipeline.Config) *pipeline.Pipeline {
 	t.Helper()
-	p, err := pipeline.New(cfg, pipeline.NewParser(packet.StandardGraph(), pipeline.StandardLayout(cfg.PHVBudget)))
+	parser, err := packet.StandardGraph().Bind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pipeline.New(cfg, parser)
 	if err != nil {
 		t.Fatal(err)
 	}

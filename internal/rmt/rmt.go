@@ -98,8 +98,7 @@ type Switch struct {
 }
 
 // New builds an RMT switch with the given programs. Programs may be nil
-// (pure forwarding by base-header DstPort). Both programs must use layouts
-// allocated from cfg.Pipe.PHVBudget.
+// (pure forwarding by base-header DstPort).
 func New(cfg Config, ingressProg, egressProg *pipeline.Program) (*Switch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -113,8 +112,10 @@ func New(cfg Config, ingressProg, egressProg *pipeline.Program) (*Switch, error)
 		recircPorts:       make(map[int]bool),
 		txPerPort:         make([]uint64, cfg.Ports),
 	}
-	parser := pipeline.NewParser(packet.StandardGraph(),
-		pipeline.LayoutOf(ingressProg, egressProg, cfg.Pipe.PHVBudget))
+	parser, err := packet.StandardGraph().Bind()
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < cfg.Pipelines; i++ {
 		in, err := pipeline.New(cfg.Pipe, parser)
 		if err != nil {
